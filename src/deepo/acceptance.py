@@ -156,7 +156,7 @@ def _crit_gradient(seed: int):
         u, z, z_next = _direct_data(rng, a, b, 12 * (m + r), amplitude=1.0, noise_std=1e-3)
         cov = cov_init(u, z, z_next)
         weights = identity_weights(r, m)
-        v_base = parameterize(cov, initial_policy(cov, weights)).v
+        v_base = parameterize(cov, initial_policy(cov, weights))
         made = 0
         while made < 4:
             v = v_base + 0.05 * rng.normal(size=v_base.shape)
@@ -195,7 +195,7 @@ def _crit_certainty_equivalence(seed: int):
         k_ce = initial_policy(cov, weights)
         k_star = model_lqr_gain(a, b, weights.q, weights.r)
         worst_gain = max(worst_gain, float(np.max(np.abs(k_ce - k_star))))
-        v = parameterize(cov, k_ce).v
+        v = parameterize(cov, k_ce)
         cost_gap = abs(data_cost(cov, v, weights) - lqr_cost(a, b, k_ce, weights.q, weights.r))
         worst_cost = max(worst_cost, float(cost_gap))
     passed = worst_gain <= 1e-6 and worst_cost <= 1e-6

@@ -30,10 +30,10 @@ def _add_run_args(parser):
     parser.add_argument("--out", default=None, metavar="DIR", help="directory for trace/summary files")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario rng_seed")
     parser.add_argument(
-        "--csv", action=argparse.BooleanOptionalAction, default=None, help="write the trace CSV"
+        "--csv", action=argparse.BooleanOptionalAction, default=True, help="write the trace CSV"
     )
     parser.add_argument(
-        "--json", action=argparse.BooleanOptionalAction, default=None, help="write the summary JSON"
+        "--json", action=argparse.BooleanOptionalAction, default=True, help="write the summary JSON"
     )
 
 

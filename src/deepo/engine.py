@@ -9,9 +9,10 @@ plant only through ``step(u) -> y``.
 
 from __future__ import annotations
 
+import copy
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -66,7 +67,6 @@ class DeepoConfig:
             penalizes the raw window energy instead (Q = diag of the kept
             squared singular values), which keeps strongly excited signal
             directions from being down-weighted by the normalization.
-        weights: explicit penalty pair; overrides scales and mode when given.
         gradient_steps_per_sample: projected gradient steps per new sample.
     """
 
@@ -79,7 +79,6 @@ class DeepoConfig:
     q_scale: float = 1.0
     r_scale: float = 1.0
     q_mode: str = "identity"
-    weights: LqrWeights | None = None
     gradient_steps_per_sample: int = 1
 
     def __post_init__(self):
@@ -155,18 +154,7 @@ class DeepoState:
         if not self.initialized:
             raise ValueError("cannot serialize an uninitialized state")
         payload = {
-            "config": {
-                "lag": self.config.lag,
-                "eta0": self.config.eta0,
-                "probe_std": self.config.probe_std,
-                "excitation_amp": self.config.excitation_amp,
-                "r_override": self.config.r_override,
-                "gap_ratio": self.config.gap_ratio,
-                "q_scale": self.config.q_scale,
-                "r_scale": self.config.r_scale,
-                "q_mode": self.config.q_mode,
-                "gradient_steps_per_sample": self.config.gradient_steps_per_sample,
-            },
+            "config": asdict(self.config),
             "m": self.m,
             "t": self.t,
             "map": None if self.map is None else json.loads(self.map.to_json()),
@@ -230,6 +218,17 @@ class DeepoState:
         return state
 
 
+def _install_policy(state: DeepoState, cov: DataCovariances, weights: LqrWeights):
+    """Set the covariances, the weights and their certainty-equivalence gain."""
+    gain = initial_policy(cov, weights)
+    state.cov = cov
+    state.weights = weights
+    state.gain = gain
+    state.initial_gain = gain.copy()
+    state.v_prime = parameterize(cov, gain)
+    state.v_synced_count = cov.count
+
+
 def offline_init(history: IoHistory, config: DeepoConfig, rng_seed=0) -> DeepoState:
     """Initialize the engine from a batch of excitation data.
 
@@ -257,9 +256,7 @@ def offline_init(history: IoHistory, config: DeepoConfig, rng_seed=0) -> DeepoSt
     z = rmap.t_matrix @ xi
     u_cols = history.input_array()[lag : lag + t0].T
     cov = cov_init(u_cols[:, :-1], z[:, :-1], z[:, 1:])
-    if config.weights is not None:
-        weights = config.weights
-    elif config.q_mode == "window":
+    if config.q_mode == "window":
         # Window-energy penalty: z = diag(s)^-1 U' xi, so Q = diag(s)^2 prices
         # the raw window norm.  Both penalties are normalized by s_1^2, which
         # leaves the optimal gain unchanged but keeps gradients O(1).
@@ -270,17 +267,10 @@ def offline_init(history: IoHistory, config: DeepoConfig, rng_seed=0) -> DeepoSt
         )
     else:
         weights = identity_weights(rmap.reduced_dim, m, config.q_scale, config.r_scale)
-    gain = initial_policy(cov, weights)
-    v0 = parameterize(cov, gain).v
     state = DeepoState.fresh(config, m, rng_seed)
     state.history = history.slice(0, len(history))
     state.map = rmap
-    state.cov = cov
-    state.weights = weights
-    state.gain = gain
-    state.initial_gain = gain.copy()
-    state.v_prime = v0
-    state.v_synced_count = cov.count
+    _install_policy(state, cov, weights)
     state.t = len(history)
     if rmap.gap_warning:
         state.warn("no clear singular-value gap; reduced dimension from largest ratio")
@@ -293,20 +283,11 @@ def offline_init_direct(u_data, z_data, z_next, config: DeepoConfig, rng_seed=0)
     Convenience for plants whose state is available as-is; the reduction map
     is skipped and ``ingest_and_update`` is driven by the caller.
     """
-    if config.q_mode == "window" and config.weights is None:
+    if config.q_mode == "window":
         raise ValueError("q_mode='window' needs the windowed pipeline (no singular values here)")
     cov = cov_init(u_data, z_data, z_next)
-    weights = config.weights or identity_weights(
-        cov.r, cov.m, config.q_scale, config.r_scale
-    )
-    gain = initial_policy(cov, weights)
     state = DeepoState.fresh(config, cov.m, rng_seed)
-    state.cov = cov
-    state.weights = weights
-    state.gain = gain
-    state.initial_gain = gain.copy()
-    state.v_prime = parameterize(cov, gain).v
-    state.v_synced_count = cov.count
+    _install_policy(state, cov, identity_weights(cov.r, cov.m, config.q_scale, config.r_scale))
     state.t = cov.count
     return state
 
@@ -337,27 +318,21 @@ def _reparameterize(state: DeepoState, prev_cov: DataCovariances, u_t, z_t) -> n
         if drift <= _CONSTRAINT_REFRESH * np.sqrt(cov.r):
             return v
         state.warn(f"constraint drift {drift:.3g} at t={state.t}; re-solving")
-    return parameterize(cov, state.gain).v
+    return parameterize(cov, state.gain)
 
 
-def ingest_and_update(state: DeepoState, u_t, z_t, z_next) -> StepRecord:
-    """Fold one sample into the engine and advance the policy.
+def _policy_step(state: DeepoState, prev_cov: DataCovariances, u_t, z_t):
+    """Advance the policy under the just-updated covariances.
 
-    Updates the covariances, re-parameterizes the current gain under the new
-    data, takes the configured number of projected gradient steps (halving
-    the stepsize up to ten times if a step leaves the feasible set; the gain
-    is held with a warning when even that fails), and reads off the next
-    gain.  Appends and returns the step record.
+    Re-parameterizes the current gain, takes the configured number of
+    projected gradient steps, and stores the new gain and decision matrix.
+    Returns ``(cost, eta, grad_norm)`` for the step record.
     """
-    if not state.initialized:
-        raise ValueError("engine is not initialized")
     cfg = state.config
-    prev_cov = state.cov
-    state.cov = cov_update(state.cov, u_t, z_t, z_next)
-    if state.cov.ill_conditioned:
+    cov = state.cov
+    if cov.ill_conditioned:
         state.warn(f"data covariance poorly conditioned at t={state.t}")
     v = _reparameterize(state, prev_cov, u_t, z_t)
-    cov = state.cov
     pi = nullspace_projection(cov)
     eta_base, capped = adaptive_stepsize(cov, cfg.eta0, pi)
     if capped:
@@ -392,22 +367,67 @@ def ingest_and_update(state: DeepoState, u_t, z_t, z_next) -> StepRecord:
     state.v_prime = v
     state.v_synced_count = cov.count
     state.gain = recover_gain(cov, v)
+    if a_cl is None:
+        cost = data_cost(cov, v, state.weights)
+    else:
+        cost = _feasible_cost(cov, v, a_cl, state.weights)
+    return cost, eta_used, grad_norm
+
+
+def ingest_and_update(state: DeepoState, u_t, z_t, z_next, update: bool = True) -> StepRecord:
+    """Fold one sample into the engine and, when ``update``, advance the policy.
+
+    Updates the covariances, then either re-parameterizes the current gain
+    under the new data, takes the configured number of projected gradient
+    steps (halving the stepsize up to ten times if a step leaves the
+    feasible set; the gain is held with a warning when even that fails) and
+    reads off the next gain; or, with ``update=False``, holds the gain and
+    records its data cost under the new covariances.  Appends and returns
+    the step record.
+    """
+    if not state.initialized:
+        raise ValueError("engine is not initialized")
+    prev_cov = state.cov
+    state.cov = cov_update(state.cov, u_t, z_t, z_next)
+    if update:
+        cost, eta, grad_norm = _policy_step(state, prev_cov, u_t, z_t)
+    else:
+        cost = data_cost(state.cov, parameterize(state.cov, state.gain), state.weights)
+        eta = grad_norm = None
     record = StepRecord(
         t=state.t,
         mode="deepo",
         u=np.asarray(u_t, dtype=float).reshape(-1),
         z=np.asarray(z_t, dtype=float).reshape(-1),
-        cost=(
-            data_cost(cov, v, state.weights)
-            if a_cl is None
-            else _feasible_cost(cov, v, a_cl, state.weights)
-        ),
-        eta=eta_used,
+        cost=cost,
+        eta=eta,
         grad_norm=grad_norm,
     )
     state.records.append(record)
     state.t += 1
     return record
+
+
+def _window(history: IoHistory, start: int, stop: int) -> IoHistory:
+    """``history[start:stop]`` sharing the sample arrays instead of copying them."""
+    window = IoHistory()
+    window.inputs = history.inputs[start:stop]
+    window.outputs = history.outputs[start:stop]
+    return window
+
+
+def _activate(state: DeepoState, excitation_start: int, activation_step: int):
+    """Fit the running state to its excitation window through :func:`offline_init`.
+
+    The state takes every field of the fitted one except its history, clock,
+    records and warnings, which are the run's own (the fit's warnings are
+    appended).
+    """
+    window = _window(state.history, excitation_start, activation_step)
+    fitted = offline_init(window, state.config, rng_seed=state.rng)
+    state.warnings.extend(fitted.warnings)
+    run = {"history": state.history, "t": state.t, "records": state.records, "warnings": state.warnings}
+    vars(state).update(vars(fitted), **run)
 
 
 def _resolve_step(plant):
@@ -416,19 +436,6 @@ def _resolve_step(plant):
     if callable(plant):
         return plant
     raise TypeError("plant must expose step(u) or be callable")
-
-
-def _activate(state: DeepoState, excitation_start: int, activation_step: int):
-    window = state.history.slice(excitation_start, activation_step)
-    init = offline_init(window, state.config, rng_seed=state.rng)
-    state.map = init.map
-    state.cov = init.cov
-    state.weights = init.weights
-    state.gain = init.gain
-    state.initial_gain = init.initial_gain
-    state.v_prime = init.v_prime
-    state.v_synced_count = init.v_synced_count
-    state.warnings.extend(init.warnings)
 
 
 def run_online(
@@ -470,20 +477,8 @@ def run_online(
             except NonFinite as exc:
                 raise NonFinite(f"step {t}: {exc}", records=state.records) from exc
             z_next = reduce_state(state.map, stack_window(state.history, t + 1, cfg.lag))
-            if policy_updates and (update_start is None or t >= update_start):
-                record = ingest_and_update(state, u, z_t, z_next)
-            else:
-                state.cov = cov_update(state.cov, u, z_t, z_next)
-                held_v = parameterize(state.cov, state.gain).v
-                record = StepRecord(
-                    t=t,
-                    mode="deepo",
-                    u=u,
-                    z=z_t,
-                    cost=data_cost(state.cov, held_v, state.weights),
-                )
-                state.records.append(record)
-                state.t += 1
+            update = policy_updates and (update_start is None or t >= update_start)
+            record = ingest_and_update(state, u, z_t, z_next, update=update)
             record.y = y
         else:
             if t < excitation_start:
@@ -509,11 +504,12 @@ def reinitialize(state: DeepoState, start: int, stop: int) -> DeepoState:
 
     Explicit recovery hook after a known plant change: returns a new state
     whose reduction map and covariances come from ``history[start:stop]``.
-    The original state is untouched.
+    The new state has its own copies of the history, the records list and
+    the random generator; the original state is untouched.
     """
-    window = state.history.slice(start, stop)
-    fresh = offline_init(window, state.config, rng_seed=state.rng)
+    window = _window(state.history, start, stop)
+    fresh = offline_init(window, state.config, rng_seed=copy.deepcopy(state.rng))
     fresh.history = state.history.slice(0, len(state.history))
     fresh.t = state.t
-    fresh.records = state.records
+    fresh.records = list(state.records)
     return fresh

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -29,7 +29,6 @@ from .plant import (
     SwitchingPlant,
     make_surrogate_converter,
     surrogate_io_matrices,
-    surrogate_oscillatory_dynamics,
     surrogate_perturbed_dynamics,
 )
 
@@ -62,7 +61,6 @@ class ScenarioConfig:
     excitation_start: int
     activation_step: int
     deepo: DeepoConfig
-    sampling_hz: float = 200.0
     rng_seed: int = 0
     plant: str | dict = "surrogate_converter"
     process_noise_std: float = 2e-4
@@ -74,8 +72,6 @@ class ScenarioConfig:
     update_start: int | None = None
     perturbation: Perturbation | None = None
     comparison_window: int = 300
-    write_csv: bool = True
-    write_json: bool = True
 
 
 def _require(condition, fieldname, message):
@@ -97,6 +93,8 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
     """Validate a scenario dictionary, reporting the offending field."""
     _require(isinstance(raw, dict), "scenario", "must be a JSON object")
     _require(raw.get("schema") == SCHEMA_VERSION, "schema", f"must be {SCHEMA_VERSION}")
+    unknown = set(raw) - {f.name for f in fields(ScenarioConfig)} - {"schema"}
+    _require(not unknown, "scenario", f"unknown keys {sorted(unknown)}")
     name = raw.get("name", name)
     _require(isinstance(name, str) and name, "name", "must be a nonempty string")
 
@@ -132,11 +130,7 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
 
     deepo_raw = raw.get("deepo")
     _require(isinstance(deepo_raw, dict), "deepo", "must be an object")
-    allowed = {
-        "lag", "eta0", "probe_std", "excitation_amp", "r_override",
-        "gap_ratio", "q_scale", "r_scale", "q_mode", "gradient_steps_per_sample",
-    }
-    unknown = set(deepo_raw) - allowed
+    unknown = set(deepo_raw) - {f.name for f in fields(DeepoConfig)}
     _require(not unknown, "deepo", f"unknown keys {sorted(unknown)}")
     try:
         deepo_cfg = DeepoConfig(**deepo_raw)
@@ -196,7 +190,6 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
         excitation_start=excitation_start,
         activation_step=activation,
         deepo=deepo_cfg,
-        sampling_hz=floatfield("sampling_hz", 200.0, minimum=1e-9),
         rng_seed=intfield("rng_seed", default=0, minimum=0),
         plant=plant,
         process_noise_std=floatfield("process_noise_std", 2e-4, minimum=0.0),
@@ -444,14 +437,13 @@ def _write_outputs(config, records, state, summary_dict, out_dir, write_csv_flag
 def run_scenario(
     config: ScenarioConfig,
     out_dir=None,
-    write_csv_flag: bool | None = None,
-    write_json_flag: bool | None = None,
+    write_csv_flag: bool = True,
+    write_json_flag: bool = True,
 ) -> RunSummary:
     """Execute one scenario timeline and summarize it.
 
     When ``out_dir`` is given, writes ``<name>_trace.csv`` and
-    ``<name>_summary.json`` there (subject to the write flags, defaulting to
-    the config's).
+    ``<name>_summary.json`` there (subject to the write flags).
     """
     splant = _build_plant(config)
     if config.control_enabled:
@@ -474,8 +466,8 @@ def run_scenario(
         state,
         summary.to_dict(),
         out_dir,
-        config.write_csv if write_csv_flag is None else write_csv_flag,
-        config.write_json if write_json_flag is None else write_json_flag,
+        write_csv_flag,
+        write_json_flag,
     )
     return summary
 
@@ -494,28 +486,14 @@ class AdaptationSummary:
     adaptive: RunSummary | None = None
 
     def to_dict(self) -> dict:
-        out = _json_safe(
-            {
-                "name": self.name,
-                "disturbance_step": self.disturbance_step,
-                "frozen_post_rms": self.frozen_post_rms,
-                "adaptive_post_rms": self.adaptive_post_rms,
-                "adaptive_gain_change": self.adaptive_gain_change,
-                "frozen_gain_change": self.frozen_gain_change,
-            }
-        )
-        if self.frozen is not None:
-            out["frozen"] = self.frozen.to_dict()
-        if self.adaptive is not None:
-            out["adaptive"] = self.adaptive.to_dict()
-        return out
+        return _json_safe(asdict(self))
 
 
 def run_adaptation_scenario(
     config: ScenarioConfig,
     out_dir=None,
-    write_csv_flag: bool | None = None,
-    write_json_flag: bool | None = None,
+    write_csv_flag: bool = True,
+    write_json_flag: bool = True,
 ) -> AdaptationSummary:
     """Run the scenario twice from identical seeds: gain frozen vs adaptive.
 
@@ -568,12 +546,10 @@ def run_adaptation_scenario(
         frozen=summarize_run(config, *results["frozen"]),
         adaptive=summarize_run(config, *results["adaptive"]),
     )
-    write_csv_final = config.write_csv if write_csv_flag is None else write_csv_flag
-    write_json_final = config.write_json if write_json_flag is None else write_json_flag
     if out_dir is not None:
         for label, (records, state) in results.items():
-            _write_outputs(config, records, state, None, out_dir, write_csv_final, False, suffix=f"_{label}")
-        if write_json_final:
+            _write_outputs(config, records, state, None, out_dir, write_csv_flag, False, suffix=f"_{label}")
+        if write_json_flag:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
             with open(out / f"{config.name}_adaptation_summary.json", "w", encoding="utf-8") as fh:

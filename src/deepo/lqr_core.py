@@ -10,7 +10,7 @@ the constraint set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,13 +151,6 @@ def cov_update(cov: DataCovariances, u_t, z_t, z_next) -> DataCovariances:
     )
 
 
-@dataclass(frozen=True)
-class Parameterization:
-    """Decision matrix V satisfying Zbar0 V = I for the attached covariances."""
-
-    v: np.ndarray
-
-
 def rank_one_reparameterize(prev_cov: DataCovariances, v_prime, u_t, z_t) -> np.ndarray:
     """Carry a decision matrix across one covariance update in O((m+r)^2 r).
 
@@ -171,7 +164,7 @@ def rank_one_reparameterize(prev_cov: DataCovariances, v_prime, u_t, z_t) -> np.
     phi_vec = np.concatenate(
         [np.asarray(u_t, dtype=float).reshape(-1), np.asarray(z_t, dtype=float).reshape(-1)]
     )
-    if phi_vec.shape[0] != cov_dim(prev_cov):
+    if phi_vec.shape[0] != prev_cov.m + prev_cov.r:
         raise DimensionMismatch("sample does not match the covariance dimensions")
     t = prev_cov.count
     w = prev_cov.phi_inv @ phi_vec
@@ -179,12 +172,7 @@ def rank_one_reparameterize(prev_cov: DataCovariances, v_prime, u_t, z_t) -> np.
     return ((t + 1.0) / t) * (v_prime - np.outer(w, phi_vec @ v_prime) / denom)
 
 
-def cov_dim(cov: DataCovariances) -> int:
-    """Stacked sample dimension m + r."""
-    return cov.m + cov.r
-
-
-def parameterize(cov: DataCovariances, k) -> Parameterization:
+def parameterize(cov: DataCovariances, k) -> np.ndarray:
     """Decision matrix reproducing the gain ``k``: solves Phi V = [K; I].
 
     The result satisfies Zbar0 V = I and Ubar V = K up to solver accuracy.
@@ -197,7 +185,7 @@ def parameterize(cov: DataCovariances, k) -> Parameterization:
         v = np.linalg.solve(cov.phi, rhs)
     except np.linalg.LinAlgError:
         raise RankDeficient("sample covariance is singular") from None
-    return Parameterization(v=v)
+    return v
 
 
 def recover_gain(cov: DataCovariances, v) -> np.ndarray:
@@ -206,11 +194,6 @@ def recover_gain(cov: DataCovariances, v) -> np.ndarray:
     if v.shape != (cov.m + cov.r, cov.r):
         raise DimensionMismatch(f"v must have shape ({cov.m + cov.r}, {cov.r})")
     return cov.u_bar @ v
-
-
-def closed_loop(cov: DataCovariances, v) -> np.ndarray:
-    """Data-driven closed-loop matrix Zbar1 V."""
-    return cov.z1_bar @ np.asarray(v, dtype=float)
 
 
 def data_cost(cov: DataCovariances, v, weights: LqrWeights) -> float:

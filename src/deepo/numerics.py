@@ -1,14 +1,11 @@
 """Dense linear-algebra kernels shared by every module.
 
-Discrete Lyapunov solves, spectral radius, Moore-Penrose pseudoinverse,
-numerical rank, a thin SVD wrapper, and a fixed-point Riccati solver for
-discounted-free infinite-horizon LQR gains.  Everything here is a pure
+Discrete Lyapunov solves, spectral radius, numerical rank, and a
+fixed-point Riccati solver for discounted-free infinite-horizon LQR gains.  Everything here is a pure
 function of plain 2-D float arrays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,14 +90,6 @@ def _dlyap_doubling(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return x
 
 
-def pseudoinverse(m: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a 2-D array."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
-    return np.linalg.pinv(m)
-
-
 def numerical_rank(m: np.ndarray, tol: float = 1e-8) -> int:
     """Number of singular values above ``tol`` times the largest one."""
     m = np.asarray(m, dtype=float)
@@ -112,30 +101,6 @@ def numerical_rank(m: np.ndarray, tol: float = 1e-8) -> int:
     if s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin singular value decomposition ``m = U diag(s) V^T``.
-
-    Attributes:
-        left_vectors: U with orthonormal columns.
-        singular_values: nonincreasing, nonnegative 1-D array.
-        right_vectors: V with orthonormal columns (not transposed).
-    """
-
-    left_vectors: np.ndarray
-    singular_values: np.ndarray
-    right_vectors: np.ndarray
-
-
-def compute_svd(m: np.ndarray) -> SvdResult:
-    """Thin SVD as an :class:`SvdResult`."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return SvdResult(left_vectors=u, singular_values=s, right_vectors=vt.T)
 
 
 def riccati_gain(

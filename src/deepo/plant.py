@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateData, LagTooSmall, NonFinite
-from .numerics import numerical_rank, pseudoinverse, riccati_gain, solve_dlyap, spectral_radius
+from .numerics import numerical_rank, riccati_gain, solve_dlyap
 
 SURROGATE_SAMPLING_HZ = 200.0
 
@@ -281,7 +281,7 @@ def build_nonminimal_oracle(model: PlantModel, lag: int) -> OracleRealization:
     ctrb = build_controllability(model, lag)
     toep = build_toeplitz(model, lag)
     a_pow = np.linalg.matrix_power(model.a, lag)
-    obs_pinv = pseudoinverse(obs)
+    obs_pinv = np.linalg.pinv(obs)
     s_row = np.hstack(
         [model.c @ (ctrb - a_pow @ obs_pinv @ toep), model.c @ a_pow @ obs_pinv]
     )
@@ -335,7 +335,7 @@ def fit_linear_dynamics(u_data, z_data, z_next):
     d0 = np.vstack([u_data, z_data])
     if numerical_rank(d0) < d0.shape[0]:
         raise DegenerateData("regressor matrix [u; z] is not full row rank")
-    ba = z_next @ pseudoinverse(d0)
+    ba = z_next @ np.linalg.pinv(d0)
     return ba[:, m:], ba[:, :m]
 
 

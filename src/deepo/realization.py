@@ -9,7 +9,7 @@ state coordinate: either by scanning for linearly independent rows
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,9 +60,6 @@ class IoHistory:
 
     def input_array(self) -> np.ndarray:
         return np.array(self.inputs, dtype=float).reshape(len(self), -1)
-
-    def output_array(self) -> np.ndarray:
-        return np.array(self.outputs, dtype=float).reshape(len(self), -1)
 
 
 def stack_window(history: IoHistory, t: int, lag: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from deepo.engine import (
     run_online,
 )
 from deepo.errors import InsufficientHistory, NonFinite
-from deepo.lqr_core import parameterize
+from deepo.lqr_core import data_cost, parameterize
 from deepo.plant import (
     PlantModel,
     fit_linear_dynamics,
@@ -80,7 +80,7 @@ def test_already_optimal_gain_is_a_fixed_point(rng):
     state = offline_init_direct(u, z, z_next, DeepoConfig(lag=1, probe_std=0.0))
     k_star = model_lqr_gain(a, b, state.weights.q, state.weights.r)
     state.gain = k_star.copy()
-    state.v_prime = parameterize(state.cov, k_star).v
+    state.v_prime = parameterize(state.cov, k_star)
     state.v_synced_count = state.cov.count
     zc = z_next[:, -1].copy()
     for _ in range(100):
@@ -124,6 +124,26 @@ def test_constraint_holds_every_step(rng):
         residual = np.linalg.norm(state.cov.z0_bar @ state.v_prime - np.eye(state.cov.r))
         assert residual <= 1e-6
         zc = zn
+
+
+def test_held_gain_step_prices_without_moving(rng):
+    # update=False folds the sample into the covariances and records the
+    # cost of the held gain; the policy and its decision matrix stay put.
+    a, b = random_pair(rng, 3, 2)
+    u0, z0, z0_next = direct_data(rng, a, b, steps=60, noise_std=1e-3)
+    state = offline_init_direct(u0, z0, z0_next, DeepoConfig(lag=1), rng_seed=2)
+    gain, v_prime, synced = state.gain.copy(), state.v_prime.copy(), state.v_synced_count
+    zc = z0_next[:, -1].copy()
+    uc = state.gain @ zc + 0.01 * state.rng.standard_normal(2)
+    zn = a @ zc + b @ uc
+    record = ingest_and_update(state, uc, zc, zn, update=False)
+    npt.assert_array_equal(state.gain, gain)
+    npt.assert_array_equal(state.v_prime, v_prime)
+    assert state.v_synced_count == synced
+    assert state.cov.count == synced + 1
+    assert record.eta is None and record.grad_norm is None
+    assert record.cost == data_cost(state.cov, parameterize(state.cov, state.gain), state.weights)
+    assert state.records[-1] is record and state.t == synced + 1
 
 
 def surrogate_run(seed, steps=700, policy_updates=True, update_start=None):
@@ -215,6 +235,7 @@ def test_state_json_roundtrip():
     npt.assert_allclose(clone.map.t_matrix, state.map.t_matrix)
     assert clone.t == state.t
     assert clone.v_synced_count == state.v_synced_count
+    assert clone.config == state.config
     # The restored rng continues the same stream.
     npt.assert_array_equal(clone.rng.standard_normal(4), state.rng.standard_normal(4))
 
@@ -236,3 +257,20 @@ def test_reinitialize_rebuilds_from_window():
     assert fresh.cov.count < state.cov.count
     # Original untouched.
     assert state.initialized and fresh.initialized
+
+
+def test_reinitialize_leaves_original_untouched():
+    # Driving the re-initialized state touches neither the original's
+    # records nor its random stream.
+    state, _ = surrogate_run(seed=10, steps=620)
+    fresh = reinitialize(state, 400, 620)
+    n_records = len(state.records)
+    twin = DeepoState.from_json(state.to_json())
+    assert len(fresh.records) == n_records
+    xi = np.zeros(fresh.map.t_matrix.shape[1])
+    u = control_step(fresh, xi)
+    z = np.zeros(fresh.map.reduced_dim)
+    ingest_and_update(fresh, u, z, z)
+    assert len(state.records) == n_records
+    assert len(fresh.records) == n_records + 1
+    npt.assert_array_equal(state.rng.standard_normal(4), twin.rng.standard_normal(4))

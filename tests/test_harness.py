@@ -64,6 +64,7 @@ def test_parse_scenario_accepts_baseline():
         ({"perturbation": {"step": 10, "mode": "bogus"}}, "perturbation.mode"),
         ({"control_enabled": "yes"}, "control_enabled"),
         ({"process_noise_std": -1.0}, "process_noise_std"),
+        ({"update_strat": 70}, "update_strat"),
     ],
 )
 def test_parse_scenario_reports_offending_field(overrides, field):

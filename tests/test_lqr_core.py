@@ -10,7 +10,6 @@ from deepo.lqr_core import (
     DataCovariances,
     LqrWeights,
     adaptive_stepsize,
-    closed_loop,
     cov_init,
     cov_update,
     data_cost,
@@ -102,10 +101,9 @@ def test_cov_update_single_sample_formula():
 def test_parameterize_recover_roundtrip(batch, rng):
     _, _, cov, _ = batch
     k = rng.standard_normal((cov.m, cov.r))
-    v = parameterize(cov, k).v
+    v = parameterize(cov, k)
     npt.assert_allclose(recover_gain(cov, v), k, atol=1e-9)
     npt.assert_allclose(cov.z0_bar @ v, np.eye(cov.r), atol=1e-9)
-    npt.assert_allclose(closed_loop(cov, v), cov.z1_bar @ v, atol=1e-14)
     with pytest.raises(DimensionMismatch):
         parameterize(cov, np.zeros((cov.m, cov.r + 1)))
     with pytest.raises(DimensionMismatch):
@@ -119,7 +117,7 @@ def test_data_cost_noiseless_matches_model_cost(rng):
     cov = cov_init(u, z, z_next)
     weights = identity_weights(3, 2)
     k = model_lqr_gain(a, b, weights.q, weights.r)
-    v = parameterize(cov, k).v
+    v = parameterize(cov, k)
     expected = lqr_cost(a, b, k, weights.q, weights.r)
     assert data_cost(cov, v, weights) == pytest.approx(expected, rel=1e-8)
 
@@ -127,8 +125,8 @@ def test_data_cost_noiseless_matches_model_cost(rng):
 def infeasible_point(cov):
     # Scale the gain until the data-driven closed loop leaves the unit disc.
     for scale in (1e2, 1e4, 1e6, 1e8):
-        v = parameterize(cov, scale * np.ones((cov.m, cov.r))).v
-        if spectral_radius(closed_loop(cov, v)) >= 1.0:
+        v = parameterize(cov, scale * np.ones((cov.m, cov.r)))
+        if spectral_radius(cov.z1_bar @ v) >= 1.0:
             return v
     raise AssertionError("could not construct an infeasible policy")
 
@@ -145,11 +143,11 @@ def test_gradient_matches_finite_difference(rng):
     cov = cov_init(u, z, z_next)
     weights = identity_weights(2, 1)
     k = initial_policy(cov, weights)
-    v0 = parameterize(cov, k).v
+    v0 = parameterize(cov, k)
     checked = 0
     for trial in range(6):
         v = v0 + 0.02 * np.random.default_rng(trial).standard_normal(v0.shape)
-        if spectral_radius(closed_loop(cov, v)) >= 0.95:
+        if spectral_radius(cov.z1_bar @ v) >= 0.95:
             continue
         checked += 1
         g = gradient(cov, v, weights)
@@ -184,7 +182,7 @@ def test_nullspace_projection_properties(batch):
 def test_projected_step_preserves_constraint(batch, rng):
     _, _, cov, _ = batch
     weights = identity_weights(cov.r, cov.m)
-    v = parameterize(cov, initial_policy(cov, weights)).v
+    v = parameterize(cov, initial_policy(cov, weights))
     pi = nullspace_projection(cov)
     eta, capped = adaptive_stepsize(cov, 1e-3)
     assert not capped
@@ -234,7 +232,7 @@ def test_descent_until_stationary(rng):
         except RankDeficient:
             continue
         weights = identity_weights(r, m)
-        v = parameterize(cov, initial_policy(cov, weights)).v
+        v = parameterize(cov, initial_policy(cov, weights))
         pi = nullspace_projection(cov)
         eta, _ = adaptive_stepsize(cov, 1e-3)
         costs = [data_cost(cov, v, weights)]
@@ -276,12 +274,12 @@ def test_rank_one_reparameterize_tracks_full_solve(rng):
     cov = cov_init(u[:, :60], z[:, :60], z_next[:, :60])
     weights = identity_weights(3, 2)
     k = initial_policy(cov, weights)
-    v = parameterize(cov, k).v
+    v = parameterize(cov, k)
     for t in range(60, 300):
         prev = cov
         cov = cov_update(cov, u[:, t], z[:, t], z_next[:, t])
         v = rank_one_reparameterize(prev, v, u[:, t], z[:, t])
         k = recover_gain(cov, v)
-    direct = parameterize(cov, k).v
+    direct = parameterize(cov, k)
     npt.assert_allclose(v, direct, atol=1e-9)
     npt.assert_allclose(cov.z0_bar @ v, np.eye(3), atol=1e-9)

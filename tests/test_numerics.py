@@ -6,9 +6,7 @@ import pytest
 
 from deepo.errors import NoConvergence, NotStable, NotSymmetric
 from deepo.numerics import (
-    compute_svd,
     numerical_rank,
-    pseudoinverse,
     riccati_gain,
     solve_dlyap,
     spectral_radius,
@@ -105,17 +103,6 @@ def test_spectral_radius_known_values():
     assert spectral_radius(rot) == pytest.approx(0.7, rel=1e-12)
 
 
-def test_pseudoinverse_penrose_identities(rng):
-    m = rng.standard_normal((6, 3))
-    pinv = pseudoinverse(m)
-    npt.assert_allclose(m @ pinv @ m, m, atol=1e-10)
-    npt.assert_allclose(pinv @ m @ pinv, pinv, atol=1e-10)
-    npt.assert_allclose(m @ pinv, (m @ pinv).T, atol=1e-10)
-    npt.assert_allclose(pinv @ m, (pinv @ m).T, atol=1e-10)
-    # Full-column-rank case agrees with the normal-equations inverse.
-    npt.assert_allclose(pinv, np.linalg.inv(m.T @ m) @ m.T, atol=1e-10)
-
-
 def test_numerical_rank_thresholding(rng):
     left = rng.standard_normal((5, 2))
     right = rng.standard_normal((2, 7))
@@ -124,18 +111,6 @@ def test_numerical_rank_thresholding(rng):
     noisy = product + 1e-12 * rng.standard_normal(product.shape)
     assert numerical_rank(noisy, tol=1e-8) == 2
     assert numerical_rank(np.zeros((3, 3))) == 0
-
-
-def test_compute_svd_reconstruction(rng):
-    m = rng.standard_normal((5, 8))
-    res = compute_svd(m)
-    npt.assert_allclose(
-        res.left_vectors @ np.diag(res.singular_values) @ res.right_vectors.T,
-        m,
-        atol=1e-12,
-    )
-    npt.assert_allclose(res.left_vectors.T @ res.left_vectors, np.eye(5), atol=1e-12)
-    assert np.all(np.diff(res.singular_values) <= 0)
 
 
 def test_riccati_scalar_closed_form():
