@@ -49,9 +49,11 @@ from .harness import (
     run_scenario,
 )
 from .lqr_core import (
+    ClosedLoop,
     DataCovariances,
     LqrWeights,
     adaptive_stepsize,
+    closed_loop,
     cov_init,
     cov_update,
     data_cost,
@@ -64,12 +66,13 @@ from .lqr_core import (
     recover_gain,
 )
 from .plant import PlantModel, SwitchEvent, SwitchSchedule, SwitchingPlant, make_surrogate_converter
-from .realization import IoHistory, ReductionMap, reduce_rowselect, reduce_svd, stack_window
+from .realization import IoHistory, ReductionMap, reduce_svd, stack_window
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdaptationSummary",
+    "ClosedLoop",
     "ConfigInvalid",
     "DataCovariances",
     "DeepoConfig",
@@ -98,6 +101,7 @@ __all__ = [
     "Unstable",
     "Unstabilizable",
     "adaptive_stepsize",
+    "closed_loop",
     "control_step",
     "cov_init",
     "cov_update",
@@ -115,7 +119,6 @@ __all__ = [
     "parse_scenario",
     "rank_one_reparameterize",
     "recover_gain",
-    "reduce_rowselect",
     "reduce_svd",
     "reinitialize",
     "run_adaptation_scenario",

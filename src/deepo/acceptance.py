@@ -18,6 +18,7 @@ import numpy as np
 from . import harness
 from .engine import DeepoConfig, ingest_and_update, offline_init_direct
 from .lqr_core import (
+    closed_loop,
     cov_init,
     data_cost,
     gradient,
@@ -164,7 +165,7 @@ def _crit_gradient(seed: int):
                 continue
             made += 1
             points += 1
-            g = gradient(cov, v, weights)
+            g = gradient(cov, closed_loop(cov, v, weights), weights)
             fd = np.zeros_like(v)
             h = 1e-6
             for i in range(v.shape[0]):

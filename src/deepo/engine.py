@@ -12,17 +12,16 @@ from __future__ import annotations
 import copy
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import InsufficientHistory, NonFinite, Unstable
+from .errors import ConfigInvalid, InsufficientHistory, NonFinite, Unstable
 from .lqr_core import (
-    FEASIBILITY_MARGIN,
     DataCovariances,
     LqrWeights,
-    _feasible_cost,
     adaptive_stepsize,
+    closed_loop,
     cov_init,
     cov_update,
     data_cost,
@@ -42,7 +41,6 @@ from .realization import (
     reduce_svd,
     stack_window,
 )
-from .numerics import spectral_radius
 
 _BACKTRACK_LIMIT = 10
 
@@ -61,8 +59,6 @@ class DeepoConfig:
         probe_std: std of the Gaussian probing noise added to the control.
         excitation_amp: amplitude of the uniform pre-activation excitation.
         r_override: fix the reduced dimension instead of the gap rule.
-        gap_ratio: singular-value ratio that counts as a clear gap.
-        q_scale / r_scale: scalar multipliers on the penalty matrices.
         q_mode: "identity" penalizes the normalized reduced state; "window"
             penalizes the raw window energy instead (Q = diag of the kept
             squared singular values), which keeps strongly excited signal
@@ -75,9 +71,6 @@ class DeepoConfig:
     probe_std: float = 0.01
     excitation_amp: float = 0.05
     r_override: int | None = None
-    gap_ratio: float = 1.8
-    q_scale: float = 1.0
-    r_scale: float = 1.0
     q_mode: str = "identity"
     gradient_steps_per_sample: int = 1
 
@@ -86,14 +79,25 @@ class DeepoConfig:
             raise ValueError("lag must be at least 1")
         if self.eta0 <= 0:
             raise ValueError("eta0 must be positive")
-        if self.probe_std < 0 or self.excitation_amp <= 0:
-            raise ValueError("noise amplitudes must be nonnegative")
-        if self.gap_ratio <= 1.0:
-            raise ValueError("gap_ratio must exceed 1")
+        if self.probe_std < 0:
+            raise ValueError("probe_std must be nonnegative")
+        if self.excitation_amp <= 0:
+            raise ValueError("excitation_amp must be positive")
         if self.q_mode not in ("identity", "window"):
             raise ValueError("q_mode must be 'identity' or 'window'")
         if self.gradient_steps_per_sample < 1:
             raise ValueError("gradient_steps_per_sample must be at least 1")
+
+    @classmethod
+    def from_dict(cls, raw: dict, where: str) -> "DeepoConfig":
+        """Config from a JSON object; ConfigInvalid names ``where`` on bad keys or values."""
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigInvalid(f"{where}: unknown keys {sorted(unknown)}")
+        try:
+            return cls(**raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"{where}: {exc}") from None
 
 
 @dataclass
@@ -180,7 +184,7 @@ class DeepoState:
     @classmethod
     def from_json(cls, text: str) -> "DeepoState":
         payload = json.loads(text)
-        config = DeepoConfig(**payload["config"])
+        config = DeepoConfig.from_dict(payload["config"], "config")
         phi = np.array(payload["cov"]["phi"], dtype=float)
         m = int(payload["m"])
         cov = DataCovariances(
@@ -247,12 +251,7 @@ def offline_init(history: IoHistory, config: DeepoConfig, rng_seed=0) -> DeepoSt
             f"got {len(history)}"
         )
     xi = build_xi_matrix(history, t0, lag)
-    rmap = reduce_svd(
-        xi,
-        input_rows=m * lag,
-        r_override=config.r_override,
-        gap_ratio=config.gap_ratio,
-    )
+    rmap = reduce_svd(xi, input_rows=m * lag, r_override=config.r_override)
     z = rmap.t_matrix @ xi
     u_cols = history.input_array()[lag : lag + t0].T
     cov = cov_init(u_cols[:, :-1], z[:, :-1], z[:, 1:])
@@ -261,12 +260,9 @@ def offline_init(history: IoHistory, config: DeepoConfig, rng_seed=0) -> DeepoSt
         # the raw window norm.  Both penalties are normalized by s_1^2, which
         # leaves the optimal gain unchanged but keeps gradients O(1).
         lam = rmap.singular_values[: rmap.reduced_dim]
-        weights = LqrWeights(
-            config.q_scale * np.diag((lam / lam[0]) ** 2),
-            config.r_scale * np.eye(m) / lam[0] ** 2,
-        )
+        weights = LqrWeights(np.diag((lam / lam[0]) ** 2), np.eye(m) / lam[0] ** 2)
     else:
-        weights = identity_weights(rmap.reduced_dim, m, config.q_scale, config.r_scale)
+        weights = identity_weights(rmap.reduced_dim, m)
     state = DeepoState.fresh(config, m, rng_seed)
     state.history = history.slice(0, len(history))
     state.map = rmap
@@ -287,7 +283,7 @@ def offline_init_direct(u_data, z_data, z_next, config: DeepoConfig, rng_seed=0)
         raise ValueError("q_mode='window' needs the windowed pipeline (no singular values here)")
     cov = cov_init(u_data, z_data, z_next)
     state = DeepoState.fresh(config, cov.m, rng_seed)
-    _install_policy(state, cov, identity_weights(cov.r, cov.m, config.q_scale, config.r_scale))
+    _install_policy(state, cov, identity_weights(cov.r, cov.m))
     state.t = cov.count
     return state
 
@@ -337,40 +333,33 @@ def _policy_step(state: DeepoState, prev_cov: DataCovariances, u_t, z_t):
     eta_base, capped = adaptive_stepsize(cov, cfg.eta0, pi)
     if capped:
         state.warn(f"excitation level vanished at t={state.t}; stepsize capped")
-    eta_used = None
-    grad_norm = None
-    # Closed loop of v once a backtracking trial has found it feasible; the
-    # recorded cost then skips its own feasibility test.
-    a_cl = None
-    for _ in range(cfg.gradient_steps_per_sample):
-        try:
-            g = gradient(cov, v, state.weights)
-        except Unstable:
-            state.warn(f"infeasible parameterization at t={state.t}; gain held")
-            break
-        pg = pi @ g
-        if grad_norm is None:
-            grad_norm = float(np.linalg.norm(pg))
-        eta = eta_base
-        for _ in range(_BACKTRACK_LIMIT + 1):
-            v_try = v - eta * pg
-            a_try = cov.z1_bar @ v_try
-            if spectral_radius(a_try) < 1.0 - FEASIBILITY_MARGIN:
-                v, a_cl = v_try, a_try
-                if eta_used is None:
-                    eta_used = eta
+    eta_used = grad_norm = None
+    try:
+        cl = closed_loop(cov, v, state.weights)
+    except Unstable:
+        state.warn(f"infeasible parameterization at t={state.t}; gain held")
+        cost = float("inf")
+    else:
+        for _ in range(cfg.gradient_steps_per_sample):
+            pg = pi @ gradient(cov, cl, state.weights)
+            if grad_norm is None:
+                grad_norm = float(np.linalg.norm(pg))
+            eta = eta_base
+            for _ in range(_BACKTRACK_LIMIT + 1):
+                try:
+                    cl = closed_loop(cov, cl.v - eta * pg, state.weights)
+                    break
+                except Unstable:
+                    eta *= 0.5
+            else:
+                state.warn(f"gradient step infeasible after backtracking at t={state.t}")
                 break
-            eta *= 0.5
-        else:
-            state.warn(f"gradient step infeasible after backtracking at t={state.t}")
-            break
+            if eta_used is None:
+                eta_used = eta
+        v, cost = cl.v, cl.cost
     state.v_prime = v
     state.v_synced_count = cov.count
     state.gain = recover_gain(cov, v)
-    if a_cl is None:
-        cost = data_cost(cov, v, state.weights)
-    else:
-        cost = _feasible_cost(cov, v, a_cl, state.weights)
     return cost, eta_used, grad_norm
 
 

@@ -29,6 +29,7 @@ from .plant import (
     SwitchingPlant,
     make_surrogate_converter,
     surrogate_io_matrices,
+    surrogate_nominal_dynamics,
     surrogate_perturbed_dynamics,
 )
 
@@ -89,6 +90,18 @@ def _matrix_field(raw, fieldname):
     return mat
 
 
+def _check_system(system, fieldname, like=None):
+    """Check matrices (a, b, c) as a plant, or as a switch of the plant ``like``."""
+    if like is not None:
+        shapes = [mat.shape for mat in system]
+        expected = [mat.shape for mat in like]
+        _require(shapes == expected, fieldname, f"shapes {shapes} differ from the plant's {expected}")
+    try:
+        PlantModel.check_system(*system)
+    except ValueError as exc:
+        raise ConfigInvalid(f"{fieldname}: {exc}") from None
+
+
 def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
     """Validate a scenario dictionary, reporting the offending field."""
     _require(isinstance(raw, dict), "scenario", "must be a JSON object")
@@ -124,42 +137,54 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
     plant = raw.get("plant", "surrogate_converter")
     if isinstance(plant, str):
         _require(plant == "surrogate_converter", "plant", "unknown plant name")
+        system = (surrogate_nominal_dynamics(), *surrogate_io_matrices())
     else:
         _require(isinstance(plant, dict), "plant", "must be a name or an {a, b, c} object")
         plant = {key: _matrix_field(plant.get(key), f"plant.{key}") for key in ("a", "b", "c")}
+        system = (plant["a"], plant["b"], plant["c"])
+        _check_system(system, "plant")
+    n_states = system[0].shape[0]
+    switch_step = intfield("switch_step", default=None, minimum=0, optional=True)
+    # Steps already holding a dynamics switch (switch_step drives only the surrogate).
+    taken = {switch_step} if isinstance(plant, str) and switch_step is not None else set()
 
     deepo_raw = raw.get("deepo")
     _require(isinstance(deepo_raw, dict), "deepo", "must be an object")
-    unknown = set(deepo_raw) - {f.name for f in fields(DeepoConfig)}
-    _require(not unknown, "deepo", f"unknown keys {sorted(unknown)}")
-    try:
-        deepo_cfg = DeepoConfig(**deepo_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"deepo: {exc}") from None
+    deepo_cfg = DeepoConfig.from_dict(deepo_raw, "deepo")
 
     switches = []
+    _require(isinstance(raw.get("switches", []), list), "switches", "must be a list")
     for idx, entry in enumerate(raw.get("switches", [])):
         key = f"switches[{idx}]"
         _require(isinstance(entry, dict), key, "must be an object")
         step = entry.get("step")
         _require(isinstance(step, int) and step >= 0, f"{key}.step", "must be a nonnegative integer")
-        switches.append(
-            SwitchEvent(
-                step=step,
-                a=_matrix_field(entry.get("a"), f"{key}.a"),
-                b=_matrix_field(entry.get("b"), f"{key}.b"),
-                c=_matrix_field(entry.get("c"), f"{key}.c"),
-            )
+        _require(step not in taken, f"{key}.step", f"another switch is scheduled at step {step}")
+        taken.add(step)
+        event = SwitchEvent(
+            step=step,
+            a=_matrix_field(entry.get("a"), f"{key}.a"),
+            b=_matrix_field(entry.get("b"), f"{key}.b"),
+            c=_matrix_field(entry.get("c"), f"{key}.c"),
         )
+        _check_system((event.a, event.b, event.c), key, like=system)
+        switches.append(event)
 
     disturbances = []
+    _require(isinstance(raw.get("disturbances", []), list), "disturbances", "must be a list")
     for idx, entry in enumerate(raw.get("disturbances", [])):
         key = f"disturbances[{idx}]"
         _require(isinstance(entry, dict), key, "must be an object")
         step = entry.get("step")
         _require(isinstance(step, int) and step >= 0, f"{key}.step", "must be a nonnegative integer")
         delta = entry.get("state_delta")
-        _require(isinstance(delta, list) and delta, f"{key}.state_delta", "must be a nonempty list")
+        _require(
+            isinstance(delta, list)
+            and len(delta) == n_states
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in delta),
+            f"{key}.state_delta",
+            f"must be a list of {n_states} numbers, one per plant state",
+        )
         disturbances.append(Disturbance(step=step, state_delta=[float(x) for x in delta]))
 
     perturbation = None
@@ -168,18 +193,16 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
         _require(isinstance(entry, dict), "perturbation", "must be an object")
         step = entry.get("step")
         _require(isinstance(step, int) and step >= 0, "perturbation.step", "must be a nonnegative integer")
+        _require(step not in taken, "perturbation.step", f"another switch is scheduled at step {step}")
         mode = entry.get("mode", "surrogate_perturbed")
         if mode == "explicit":
-            perturbation = Perturbation(
-                step=step,
-                mode=mode,
-                a=_matrix_field(entry.get("a"), "perturbation.a").tolist(),
-                b=_matrix_field(entry.get("b"), "perturbation.b").tolist(),
-                c=_matrix_field(entry.get("c"), "perturbation.c").tolist(),
-            )
+            drifted = tuple(_matrix_field(entry.get(key), f"perturbation.{key}") for key in ("a", "b", "c"))
+            perturbation = Perturbation(step, mode, *(mat.tolist() for mat in drifted))
         else:
             _require(mode == "surrogate_perturbed", "perturbation.mode", "unknown mode")
+            drifted = (surrogate_perturbed_dynamics(), *surrogate_io_matrices())
             perturbation = Perturbation(step=step, mode=mode)
+        _check_system(drifted, "perturbation", like=system)
 
     control_enabled = raw.get("control_enabled", True)
     _require(isinstance(control_enabled, bool), "control_enabled", "must be a boolean")
@@ -194,7 +217,7 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
         plant=plant,
         process_noise_std=floatfield("process_noise_std", 2e-4, minimum=0.0),
         measurement_noise_std=floatfield("measurement_noise_std", 0.0, minimum=0.0),
-        switch_step=intfield("switch_step", default=None, minimum=0, optional=True),
+        switch_step=switch_step,
         switches=switches,
         disturbances=disturbances,
         control_enabled=control_enabled,

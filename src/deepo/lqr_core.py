@@ -5,7 +5,9 @@ parameterize the set of feedback gains directly: any decision matrix V with
 Zbar0 V = I yields the gain K = Ubar V and closed-loop matrix Zbar1 V.  The
 routines here maintain those covariances recursively, evaluate the LQR cost
 and its exact gradient in V, and take projected gradient steps that stay on
-the constraint set.
+the constraint set.  :func:`closed_loop` is the one place a V is tested for
+feasibility; the :class:`ClosedLoop` it returns carries the state covariance
+that both the cost and the gradient are read from.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient, Unstable
+from .errors import DimensionMismatch, NoConvergence, RankDeficient, Unstabilizable, Unstable
 from .numerics import _dlyap_doubling, riccati_gain, spectral_radius
-from .errors import Unstabilizable, NoConvergence
 
 # Closed-loop spectral radii at or above this are treated as infeasible.
 FEASIBILITY_MARGIN = 1e-9
@@ -45,9 +46,9 @@ class LqrWeights:
             object.__setattr__(self, name, 0.5 * (mat + mat.T))
 
 
-def identity_weights(r_dim: int, m: int, q_scale: float = 1.0, r_scale: float = 1.0) -> LqrWeights:
-    """Scaled identity penalties, the default weighting."""
-    return LqrWeights(q=q_scale * np.eye(r_dim), r=r_scale * np.eye(m))
+def identity_weights(r_dim: int, m: int) -> LqrWeights:
+    """Identity penalties, the default weighting."""
+    return LqrWeights(q=np.eye(r_dim), r=np.eye(m))
 
 
 @dataclass(frozen=True)
@@ -196,6 +197,46 @@ def recover_gain(cov: DataCovariances, v) -> np.ndarray:
     return cov.u_bar @ v
 
 
+@dataclass
+class ClosedLoop:
+    """One feasible decision matrix evaluated under the data-driven dynamics.
+
+    Built only by :func:`closed_loop`, so holding one means ``a_cl`` passed
+    the feasibility test.  ``a_cl = Zbar1 V``; ``q_k = Q + K' R K`` with
+    ``K = Ubar V``; ``sigma`` is the closed-loop state covariance for unit
+    process noise.  A plain dataclass because the update builds one per
+    trial step.
+    """
+
+    v: np.ndarray
+    a_cl: np.ndarray
+    q_k: np.ndarray
+    sigma: np.ndarray
+
+    @property
+    def cost(self) -> float:
+        """LQR cost ``trace(q_k sigma)``, computed on access: gradient steps
+        that pass through a point never need its cost."""
+        return float(np.trace(self.q_k @ self.sigma))
+
+
+def closed_loop(cov: DataCovariances, v, weights: LqrWeights) -> ClosedLoop:
+    """Test ``v`` for feasibility and evaluate its closed loop.
+
+    Raises Unstable when Zbar1 V has spectral radius at or above
+    ``1 - FEASIBILITY_MARGIN``; otherwise solves one Lyapunov equation for
+    the state covariance.
+    """
+    v = np.asarray(v, dtype=float)
+    a_cl = cov.z1_bar @ v
+    if spectral_radius(a_cl) >= 1.0 - FEASIBILITY_MARGIN:
+        raise Unstable("closed loop of the policy is not Schur stable")
+    sigma = _dlyap_doubling(a_cl, np.eye(cov.r))
+    k = cov.u_bar @ v
+    q_k = weights.q + k.T @ weights.r @ k
+    return ClosedLoop(v=v, a_cl=a_cl, q_k=q_k, sigma=sigma)
+
+
 def data_cost(cov: DataCovariances, v, weights: LqrWeights) -> float:
     """LQR cost of a decision matrix under the data-driven dynamics.
 
@@ -204,38 +245,21 @@ def data_cost(cov: DataCovariances, v, weights: LqrWeights) -> float:
     Zbar1 V is not Schur stable (infeasible policies are a value, not a
     crash, so line searches can compare them).
     """
-    v = np.asarray(v, dtype=float)
-    a_cl = cov.z1_bar @ v
-    if spectral_radius(a_cl) >= 1.0 - FEASIBILITY_MARGIN:
+    try:
+        return closed_loop(cov, v, weights).cost
+    except Unstable:
         return float("inf")
-    return _feasible_cost(cov, v, a_cl, weights)
 
 
-def _feasible_cost(cov: DataCovariances, v, a_cl, weights: LqrWeights) -> float:
-    """:func:`data_cost` of ``v``, whose closed loop ``a_cl = Zbar1 V`` has
-    already passed the feasibility test."""
-    sigma = _dlyap_doubling(a_cl, np.eye(cov.r))
-    k = cov.u_bar @ v
-    return float(np.trace((weights.q + k.T @ weights.r @ k) @ sigma))
+def gradient(cov: DataCovariances, cl: ClosedLoop, weights: LqrWeights) -> np.ndarray:
+    """Exact gradient of the data-driven cost with respect to V at ``cl.v``.
 
-
-def gradient(cov: DataCovariances, v, weights: LqrWeights) -> np.ndarray:
-    """Exact gradient of the data-driven cost with respect to V.
-
-    Solves the two closed-loop Lyapunov equations (state covariance Sigma
-    and cost-to-go P) and returns ``2 (Ubar' R Ubar + Zbar1' P Zbar1) V Sigma``.
-
-    Raises Unstable when Zbar1 V is not Schur stable.
+    Solves the cost-to-go Lyapunov equation for P on the evaluated closed
+    loop and returns ``2 (Ubar' R Ubar + Zbar1' P Zbar1) V Sigma``.
     """
-    v = np.asarray(v, dtype=float)
-    a_cl = cov.z1_bar @ v
-    if spectral_radius(a_cl) >= 1.0 - FEASIBILITY_MARGIN:
-        raise Unstable("closed loop of the current policy is not Schur stable")
-    sigma = _dlyap_doubling(a_cl, np.eye(cov.r))
-    k = cov.u_bar @ v
-    p = _dlyap_doubling(a_cl.T, weights.q + k.T @ weights.r @ k)
+    p = _dlyap_doubling(cl.a_cl.T, cl.q_k)
     ru = weights.r @ cov.u_bar
-    return 2.0 * (cov.u_bar.T @ ru + cov.z1_bar.T @ p @ cov.z1_bar) @ v @ sigma
+    return 2.0 * (cov.u_bar.T @ ru + cov.z1_bar.T @ p @ cov.z1_bar) @ cl.v @ cl.sigma
 
 
 def nullspace_projection(cov: DataCovariances) -> np.ndarray:

@@ -72,16 +72,10 @@ class PlantModel:
         a = _as_matrix(a, "a")
         b = _as_matrix(b, "b")
         c = _as_matrix(c, "c")
-        n = a.shape[0]
-        if a.shape[1] != n:
-            raise ValueError(f"a must be square, got shape {a.shape}")
-        if b.shape[0] != n:
-            raise ValueError(f"b has {b.shape[0]} rows, expected {n}")
-        if c.shape[1] != n:
-            raise ValueError(f"c has {c.shape[1]} columns, expected {n}")
+        self.check_system(a, b, c)
         if process_noise_std < 0 or measurement_noise_std < 0:
             raise ValueError("noise standard deviations must be nonnegative")
-        self._check_minimality(a, b, c)
+        n = a.shape[0]
         self.a = a
         self.b = b
         self.c = c
@@ -93,8 +87,15 @@ class PlantModel:
         self._rng = np.random.default_rng(rng_seed)
 
     @staticmethod
-    def _check_minimality(a, b, c):
+    def check_system(a, b, c):
+        """Raise ValueError unless the 2-D arrays (a, b, c) conform and are minimal."""
         n = a.shape[0]
+        if a.shape[1] != n:
+            raise ValueError(f"a must be square, got shape {a.shape}")
+        if b.shape[0] != n:
+            raise ValueError(f"b has {b.shape[0]} rows, expected {n}")
+        if c.shape[1] != n:
+            raise ValueError(f"c has {c.shape[1]} columns, expected {n}")
         if numerical_rank(_ctrb_stack(a, b, n)) < n:
             raise ValueError("(a, b) is not controllable")
         if numerical_rank(_obs_stack(a, c, n)) < n:
@@ -144,7 +145,7 @@ class PlantModel:
         c = _as_matrix(c, "c")
         if a.shape != self.a.shape or b.shape != self.b.shape or c.shape != self.c.shape:
             raise ValueError("switched dynamics must preserve all dimensions")
-        self._check_minimality(a, b, c)
+        self.check_system(a, b, c)
         self.a, self.b, self.c = a, b, c
 
 
@@ -337,11 +338,6 @@ def fit_linear_dynamics(u_data, z_data, z_next):
         raise DegenerateData("regressor matrix [u; z] is not full row rank")
     ba = z_next @ np.linalg.pinv(d0)
     return ba[:, m:], ba[:, :m]
-
-
-def pe_excitation(rng: np.random.Generator, steps: int, m: int, amplitude: float = 0.05):
-    """Uniform white-noise excitation in [-amplitude, amplitude], shape (steps, m)."""
-    return rng.uniform(-amplitude, amplitude, size=(steps, m))
 
 
 def _rotation_block(modulus: float, freq_hz: float, sampling_hz: float) -> np.ndarray:

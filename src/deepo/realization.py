@@ -1,9 +1,9 @@
 """Input-output windows and data-driven state reduction.
 
 Stacks recent inputs and outputs into window vectors, assembles the window
-data matrix, and computes reduction maps T so that z = T xi is a minimal
-state coordinate: either by scanning for linearly independent rows
-(noise-free data) or from the dominant left singular subspace (noisy data).
+data matrix, and computes the reduction map T from its dominant left
+singular subspace, so that z = T xi is a minimal, whitened state coordinate
+whose dimension sits at the first clear singular-value gap.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateData, DimensionMismatch, InsufficientHistory, NonFinite
+
+# Singular-value ratio s_r / s_{r+1} that counts as a clear gap.
+GAP_RATIO = 1.8
 
 
 class IoHistory:
@@ -106,48 +109,36 @@ class ReductionMap:
         t_matrix: the map T, shape (reduced_dim, (m + p) * lag).
         reduced_dim: number of reduced coordinates r.
         input_rows: number of input rows m * lag in the window layout.
-        mode: "rowselect" or "svd".
-        gap_warning: True when the svd rule found no clear singular-value
+        gap_warning: True when the gap rule found no clear singular-value
             gap and fell back to the largest ratio.
-        singular_values: spectrum of the window data matrix (svd mode only).
+        singular_values: spectrum of the window data matrix.
     """
 
     t_matrix: np.ndarray
     reduced_dim: int
     input_rows: int
-    mode: str
-    gap_warning: bool = False
-    singular_values: np.ndarray | None = None
-
-    @property
-    def inferred_order(self) -> int:
-        """Estimated plant order: reduced dimension minus input rows."""
-        return self.reduced_dim - self.input_rows
+    gap_warning: bool
+    singular_values: np.ndarray
 
     def to_json(self) -> str:
         payload = {
-            "mode": self.mode,
             "reduced_dim": self.reduced_dim,
             "input_rows": self.input_rows,
             "gap_warning": self.gap_warning,
             "t_matrix": self.t_matrix.tolist(),
-            "singular_values": None
-            if self.singular_values is None
-            else self.singular_values.tolist(),
+            "singular_values": self.singular_values.tolist(),
         }
         return json.dumps(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "ReductionMap":
         payload = json.loads(text)
-        sv = payload.get("singular_values")
         return cls(
             t_matrix=np.array(payload["t_matrix"], dtype=float),
             reduced_dim=int(payload["reduced_dim"]),
             input_rows=int(payload["input_rows"]),
-            mode=payload["mode"],
-            gap_warning=bool(payload.get("gap_warning", False)),
-            singular_values=None if sv is None else np.array(sv, dtype=float),
+            gap_warning=bool(payload["gap_warning"]),
+            singular_values=np.array(payload["singular_values"], dtype=float),
         )
 
 
@@ -165,52 +156,11 @@ def _check_xi_matrix(xi_mat, input_rows):
     return xi_mat
 
 
-def reduce_rowselect(xi_mat, input_rows: int, tol: float = 1e-8) -> ReductionMap:
-    """Reduction by scanning rows top-down for a linearly independent subset.
-
-    T is a 0/1 row-selection matrix.  Because input rows come first in the
-    window layout and are independent under persistently exciting inputs,
-    all of them are kept; the selected output rows then count the plant
-    order.  Intended for noise-free data.
-
-    Raises DegenerateData when fewer than ``input_rows`` independent rows
-    are found among the input block.
-    """
-    xi_mat = _check_xi_matrix(xi_mat, input_rows)
-    rows = xi_mat.shape[0]
-    scale = np.linalg.norm(xi_mat, ord=2)
-    if scale == 0.0:
-        raise DegenerateData("window matrix is identically zero")
-    selected = []
-    basis = np.zeros((0, xi_mat.shape[1]))
-    for i in range(rows):
-        row = xi_mat[i]
-        residual = row - basis.T @ (basis @ row)
-        # Second orthogonalization pass keeps the basis clean.
-        residual = residual - basis.T @ (basis @ residual)
-        if np.linalg.norm(residual) > tol * scale:
-            selected.append(i)
-            basis = np.vstack([basis, residual / np.linalg.norm(residual)])
-    n_inputs_kept = sum(1 for i in selected if i < input_rows)
-    if n_inputs_kept < input_rows:
-        raise DegenerateData(
-            "input rows of the window matrix are linearly dependent; "
-            "the excitation is not persistently exciting"
-        )
-    r = len(selected)
-    t_matrix = np.zeros((r, rows))
-    for k, i in enumerate(selected):
-        t_matrix[k, i] = 1.0
-    return ReductionMap(
-        t_matrix=t_matrix, reduced_dim=r, input_rows=input_rows, mode="rowselect"
-    )
-
-
-def select_rank(singular_values, input_rows: int, gap_ratio: float = 1.8):
+def select_rank(singular_values, input_rows: int):
     """Reduced dimension from a singular-value gap.
 
     Picks the smallest r exceeding ``input_rows`` whose gap
-    ``s_r / s_{r+1}`` reaches ``gap_ratio``.  When no candidate reaches it,
+    ``s_r / s_{r+1}`` reaches :data:`GAP_RATIO`.  When no candidate reaches it,
     falls back to the largest-ratio candidate and flags a warning.  Returns
     ``(r, gap_warning)``.
     """
@@ -224,18 +174,13 @@ def select_rank(singular_values, input_rows: int, gap_ratio: float = 1.8):
     if not ratios:
         return count, False
     for r in sorted(ratios):
-        if ratios[r] >= gap_ratio:
+        if ratios[r] >= GAP_RATIO:
             return r, False
     best = max(sorted(ratios), key=lambda r: ratios[r])
     return best, True
 
 
-def reduce_svd(
-    xi_mat,
-    input_rows: int,
-    r_override: int | None = None,
-    gap_ratio: float = 1.8,
-) -> ReductionMap:
+def reduce_svd(xi_mat, input_rows: int, r_override: int | None = None) -> ReductionMap:
     """Reduction from the dominant left singular subspace of the data.
 
     With the thin SVD ``Xi = U diag(s) V^T``, the map is
@@ -254,7 +199,7 @@ def reduce_svd(
             )
         r = int(r_override)
     else:
-        r, warning = select_rank(s, input_rows, gap_ratio)
+        r, warning = select_rank(s, input_rows)
     if s[r - 1] <= 1e-13 * s[0]:
         raise DegenerateData(
             f"singular value {r} of the window matrix is numerically zero"
@@ -264,7 +209,6 @@ def reduce_svd(
         t_matrix=t_matrix,
         reduced_dim=r,
         input_rows=input_rows,
-        mode="svd",
         gap_warning=warning,
         singular_values=s.copy(),
     )

@@ -1,9 +1,12 @@
 """Online engine: initialization, the per-sample loop, and persistence."""
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import deepo.lqr_core
 from conftest import direct_data, random_minimal, random_pair
 from deepo.engine import (
     DeepoConfig,
@@ -15,8 +18,8 @@ from deepo.engine import (
     reinitialize,
     run_online,
 )
-from deepo.errors import InsufficientHistory, NonFinite
-from deepo.lqr_core import data_cost, parameterize
+from deepo.errors import ConfigInvalid, InsufficientHistory, NonFinite
+from deepo.lqr_core import adaptive_stepsize, data_cost, nullspace_projection, parameterize
 from deepo.plant import (
     PlantModel,
     fit_linear_dynamics,
@@ -33,13 +36,13 @@ def test_config_validation():
         DeepoConfig(lag=0)
     with pytest.raises(ValueError):
         DeepoConfig(lag=1, eta0=0.0)
-    with pytest.raises(ValueError):
-        DeepoConfig(lag=1, gap_ratio=1.0)
+    with pytest.raises(ValueError, match="probe_std"):
+        DeepoConfig(lag=1, probe_std=-1.0)
     with pytest.raises(ValueError):
         DeepoConfig(lag=1, q_mode="other")
     with pytest.raises(ValueError):
         DeepoConfig(lag=1, gradient_steps_per_sample=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="excitation_amp must be positive"):
         DeepoConfig(lag=1, excitation_amp=0.0)
 
 
@@ -146,6 +149,33 @@ def test_held_gain_step_prices_without_moving(rng):
     assert state.records[-1] is record and state.t == synced + 1
 
 
+def test_update_evaluates_each_closed_loop_once(rng, monkeypatch):
+    # Five accepted steps: one feasibility test for the starting point and
+    # one per trial (6), and per step a P solve plus the trial's sigma solve
+    # on top of the starting sigma (11).
+    a, b = random_pair(rng, 3, 2)
+    u0, z0, z0_next = direct_data(rng, a, b, steps=60, noise_std=1e-3)
+    cfg = DeepoConfig(lag=1, gradient_steps_per_sample=5)
+    state = offline_init_direct(u0, z0, z0_next, cfg, rng_seed=3)
+    zc = z0_next[:, -1].copy()
+    uc = state.gain @ zc + 0.01 * state.rng.standard_normal(2)
+    zn = a @ zc + b @ uc
+    calls = {"spectral_radius": 0, "_dlyap_doubling": 0}
+    for name in calls:
+        inner = getattr(deepo.lqr_core, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(deepo.lqr_core, name, counted)
+    record = ingest_and_update(state, uc, zc, zn)
+    eta_base, _ = adaptive_stepsize(state.cov, cfg.eta0, nullspace_projection(state.cov))
+    assert not state.warnings
+    assert record.eta == eta_base  # accepted at the first trial
+    assert calls == {"spectral_radius": 6, "_dlyap_doubling": 11}
+
+
 def surrogate_run(seed, steps=700, policy_updates=True, update_start=None):
     plant, schedule = make_surrogate_converter(rng_seed=seed, switch_step=100)
     splant = SwitchingPlant(plant, schedule, kicks=[(100, [1.0, 0.0, 0.0, 0.0])])
@@ -238,6 +268,16 @@ def test_state_json_roundtrip():
     assert clone.config == state.config
     # The restored rng continues the same stream.
     npt.assert_array_equal(clone.rng.standard_normal(4), state.rng.standard_normal(4))
+
+
+def test_checkpoint_with_unknown_config_keys_is_config_invalid():
+    # A checkpoint carrying config keys this version does not know (such as
+    # one written by an older version) is rejected as a typed error.
+    state, _ = surrogate_run(seed=8, steps=520)
+    payload = json.loads(state.to_json())
+    payload["config"]["gap_ratio"] = 1.8
+    with pytest.raises(ConfigInvalid, match="gap_ratio"):
+        DeepoState.from_json(json.dumps(payload))
 
 
 def test_control_step_uses_gain_and_probe():

@@ -18,6 +18,7 @@ from deepo.harness import (
     run_scenario,
     scenario_path,
 )
+from deepo.plant import surrogate_io_matrices, surrogate_oscillatory_dynamics
 
 BASE = {
     "schema": SCHEMA_VERSION,
@@ -65,6 +66,34 @@ def test_parse_scenario_accepts_baseline():
         ({"control_enabled": "yes"}, "control_enabled"),
         ({"process_noise_std": -1.0}, "process_noise_std"),
         ({"update_strat": 70}, "update_strat"),
+        ({"disturbances": [{"step": 5, "state_delta": [1.0]}]}, "disturbances[0].state_delta"),
+        (
+            {
+                "plant": {"a": [[0.5, 0.0], [0.0, 0.5]], "b": [[1.0], [0.0]], "c": [[1.0, 0.0]]},
+                "disturbances": [{"step": 5, "state_delta": [1.0, 0.0]}],
+            },
+            "plant",
+        ),
+        ({"switches": [{"step": 50, "a": [[0.5]], "b": [[1.0]], "c": [[1.0]]}]}, "switches[0]"),
+        (
+            {
+                "switches": [
+                    {
+                        "step": 5,
+                        "a": surrogate_oscillatory_dynamics().tolist(),
+                        "b": surrogate_io_matrices()[0].tolist(),
+                        "c": surrogate_io_matrices()[1].tolist(),
+                    }
+                ]
+            },
+            "switches[0]",
+        ),
+        ({"switches": 5}, "switches"),
+        ({"perturbation": {"step": 5}}, "perturbation.step"),
+        (
+            {"perturbation": {"step": 70, "mode": "explicit", "a": [[0.5]], "b": [[1.0]], "c": [[1.0]]}},
+            "perturbation",
+        ),
     ],
 )
 def test_parse_scenario_reports_offending_field(overrides, field):

@@ -10,6 +10,7 @@ from deepo.lqr_core import (
     DataCovariances,
     LqrWeights,
     adaptive_stepsize,
+    closed_loop,
     cov_init,
     cov_update,
     data_cost,
@@ -37,9 +38,9 @@ def test_weights_validation():
         LqrWeights(q=np.array([[1.0, 0.5], [0.0, 1.0]]), r=np.eye(1))
     with pytest.raises(ValueError, match="positive definite"):
         LqrWeights(q=np.diag([1.0, -1.0]), r=np.eye(1))
-    w = identity_weights(3, 2, q_scale=2.0, r_scale=0.5)
-    npt.assert_allclose(w.q, 2.0 * np.eye(3))
-    npt.assert_allclose(w.r, 0.5 * np.eye(2))
+    w = identity_weights(3, 2)
+    npt.assert_array_equal(w.q, np.eye(3))
+    npt.assert_array_equal(w.r, np.eye(2))
 
 
 def test_cov_init_matches_batch_definition(rng):
@@ -150,7 +151,7 @@ def test_gradient_matches_finite_difference(rng):
         if spectral_radius(cov.z1_bar @ v) >= 0.95:
             continue
         checked += 1
-        g = gradient(cov, v, weights)
+        g = gradient(cov, closed_loop(cov, v, weights), weights)
         h = 1e-6
         fd = np.zeros_like(v)
         for i in range(v.shape[0]):
@@ -164,10 +165,24 @@ def test_gradient_matches_finite_difference(rng):
 
 
 def test_gradient_unstable_raises(batch):
+    # An infeasible V has no closed-loop evaluation, so no gradient either.
     _, _, cov, _ = batch
     weights = identity_weights(cov.r, cov.m)
     with pytest.raises(Unstable):
-        gradient(cov, infeasible_point(cov), weights)
+        closed_loop(cov, infeasible_point(cov), weights)
+
+
+def test_closed_loop_prices_like_data_cost(batch):
+    # One evaluation serves the cost: same number as data_cost, and sigma
+    # solves the closed-loop Lyapunov equation.
+    _, _, cov, _ = batch
+    weights = identity_weights(cov.r, cov.m)
+    v = parameterize(cov, initial_policy(cov, weights))
+    cl = closed_loop(cov, v, weights)
+    assert cl.cost == data_cost(cov, v, weights)
+    npt.assert_array_equal(cl.a_cl, cov.z1_bar @ v)
+    residual = cl.sigma - np.eye(cov.r) - cl.a_cl @ cl.sigma @ cl.a_cl.T
+    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(cl.sigma)
 
 
 def test_nullspace_projection_properties(batch):
@@ -187,7 +202,7 @@ def test_projected_step_preserves_constraint(batch, rng):
     eta, capped = adaptive_stepsize(cov, 1e-3)
     assert not capped
     for _ in range(5):
-        v = v - eta * (pi @ gradient(cov, v, weights))
+        v = v - eta * (pi @ gradient(cov, closed_loop(cov, v, weights), weights))
         npt.assert_allclose(cov.z0_bar @ v, np.eye(cov.r), atol=1e-8)
 
 
@@ -237,7 +252,7 @@ def test_descent_until_stationary(rng):
         eta, _ = adaptive_stepsize(cov, 1e-3)
         costs = [data_cost(cov, v, weights)]
         for _ in range(400):
-            step = pi @ gradient(cov, v, weights)
+            step = pi @ gradient(cov, closed_loop(cov, v, weights), weights)
             if np.linalg.norm(step) < 1e-8:
                 break
             v = v - eta * step

@@ -20,7 +20,6 @@ from deepo.plant import (
     lqr_cost,
     make_surrogate_converter,
     model_lqr_gain,
-    pe_excitation,
     simulate_lti,
     surrogate_io_matrices,
     surrogate_nominal_dynamics,
@@ -235,12 +234,6 @@ def test_fit_linear_dynamics_recovers_truth(rng):
     npt.assert_allclose(b_hat, b, atol=1e-10)
     with pytest.raises(DegenerateData):
         fit_linear_dynamics(np.zeros((2, 60)), z[:, :-1], z[:, 1:])
-
-
-def test_pe_excitation_bounds(rng):
-    u = pe_excitation(rng, 200, 3, amplitude=0.05)
-    assert u.shape == (200, 3)
-    assert np.max(np.abs(u)) <= 0.05
 
 
 def test_surrogate_mode_moduli():

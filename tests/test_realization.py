@@ -16,7 +16,6 @@ from deepo.realization import (
     IoHistory,
     ReductionMap,
     build_xi_matrix,
-    reduce_rowselect,
     reduce_state,
     reduce_svd,
     select_rank,
@@ -73,40 +72,6 @@ def test_iohistory_validation_and_slice():
     assert h.m == 2 and h.p == 1 and len(h) == 2
 
 
-def test_rowselect_counts_plant_order(rng):
-    # Scalar plant, lag 2: 2 input rows + 1 independent output row.
-    model = random_minimal(rng, 1, 1, 1)
-    u = rng.uniform(-1, 1, (40, 1))
-    y = drive(model, u)
-    h = history_from(u, y)
-    xi = build_xi_matrix(h, t0=30, lag=2)
-    rmap = reduce_rowselect(xi, input_rows=2)
-    assert rmap.mode == "rowselect"
-    assert rmap.reduced_dim == 3
-    assert rmap.inferred_order == 1
-    # T is a 0/1 row selector that keeps every input row.
-    assert set(np.unique(rmap.t_matrix)) <= {0.0, 1.0}
-    npt.assert_allclose(rmap.t_matrix[:2, :2], np.eye(2))
-
-
-def test_rowselect_requires_persistent_excitation():
-    # Constant input makes the two input rows of the window matrix collinear.
-    steps = 30
-    u = np.ones((steps, 1))
-    y = np.cumsum(u, axis=0) * 0.1
-    h = history_from(u, y)
-    xi = build_xi_matrix(h, t0=20, lag=2)
-    with pytest.raises(DegenerateData):
-        reduce_rowselect(xi, input_rows=2)
-
-
-def test_rowselect_full_rank_keeps_everything(rng):
-    xi = rng.standard_normal((5, 40))
-    rmap = reduce_rowselect(xi, input_rows=2)
-    assert rmap.reduced_dim == 5
-    npt.assert_allclose(rmap.t_matrix, np.eye(5))
-
-
 def test_select_rank_clear_gap():
     s = [10.0, 9.0, 8.0, 7.5, 0.01, 0.009]
     r, warn = select_rank(s, input_rows=2)
@@ -141,7 +106,6 @@ def test_reduce_svd_whitens_the_data(rng):
     z = rmap.t_matrix @ xi
     # Rows of T Xi are leading right singular vectors: orthonormal.
     npt.assert_allclose(z @ z.T, np.eye(rmap.reduced_dim), atol=1e-10)
-    assert rmap.mode == "svd"
     assert rmap.singular_values is not None
     assert rmap.reduced_dim == 3 + 2  # input rows + plant order
     assert not rmap.gap_warning
@@ -206,5 +170,4 @@ def test_reduction_map_json_roundtrip(rng):
     npt.assert_allclose(clone.singular_values, rmap.singular_values)
     assert clone.reduced_dim == rmap.reduced_dim
     assert clone.input_rows == rmap.input_rows
-    assert clone.mode == rmap.mode
     assert clone.gap_warning == rmap.gap_warning
