@@ -20,7 +20,6 @@ from .engine import (
     ingest_and_update,
     offline_init,
     offline_init_direct,
-    reinitialize,
     run_online,
 )
 from .errors import (
@@ -120,7 +119,6 @@ __all__ = [
     "rank_one_reparameterize",
     "recover_gain",
     "reduce_svd",
-    "reinitialize",
     "run_adaptation_scenario",
     "run_online",
     "run_scenario",

@@ -134,7 +134,7 @@ def _crit_rank_laws(seed: int):
         t0 = 4 * (m + p) * lag + n + 10
         u_seq = rng.uniform(-1.0, 1.0, size=(t0 + lag, m))
         y_seq = simulate_lti(model.a, model.b, model.c, rng.normal(size=n), u_seq)
-        hist = IoHistory(list(u_seq), list(y_seq))
+        hist = IoHistory(u_seq, y_seq)
         xi_mat = build_xi_matrix(hist, t0, lag)
         u_cols = u_seq[lag : lag + t0].T
         stacked = np.vstack([u_cols, xi_mat])

@@ -9,7 +9,6 @@ plant only through ``step(u) -> y``.
 
 from __future__ import annotations
 
-import copy
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -120,8 +119,9 @@ class DeepoState:
     """Mutable engine state: data covariances, reduction map, current policy.
 
     Created pending via :meth:`fresh` (before any data) or ready via
-    :func:`offline_init`.  ``t`` is the global sample index and always equals
-    ``len(history)``.
+    :func:`offline_init` or :func:`offline_init_direct`.  ``t`` is the global
+    sample index; it equals ``len(history)`` except in states from
+    :func:`offline_init_direct`, which keep no history.
     """
 
     config: DeepoConfig
@@ -162,20 +162,14 @@ class DeepoState:
             "m": self.m,
             "t": self.t,
             "map": None if self.map is None else json.loads(self.map.to_json()),
-            "cov": {
-                "phi": self.cov.phi.tolist(),
-                "phi_inv": self.cov.phi_inv.tolist(),
-                "z1_bar": self.cov.z1_bar.tolist(),
-                "count": self.cov.count,
-                "ill_conditioned": self.cov.ill_conditioned,
-            },
+            "cov": {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(self.cov).items()},
             "weights": {"q": self.weights.q.tolist(), "r": self.weights.r.tolist()},
             "gain": self.gain.tolist(),
             "initial_gain": None if self.initial_gain is None else self.initial_gain.tolist(),
             "v_prime": self.v_prime.tolist(),
             "v_synced_count": self.v_synced_count,
-            "inputs": [u.tolist() for u in self.history.inputs],
-            "outputs": [y.tolist() for y in self.history.outputs],
+            "inputs": self.history.u.tolist(),
+            "outputs": self.history.y.tolist(),
             "warnings": list(self.warnings),
             "rng_state": self.rng.bit_generator.state,
         }
@@ -183,42 +177,42 @@ class DeepoState:
 
     @classmethod
     def from_json(cls, text: str) -> "DeepoState":
-        payload = json.loads(text)
-        config = DeepoConfig.from_dict(payload["config"], "config")
-        phi = np.array(payload["cov"]["phi"], dtype=float)
-        m = int(payload["m"])
-        cov = DataCovariances(
-            phi=phi,
-            phi_inv=np.array(payload["cov"]["phi_inv"], dtype=float),
-            u_bar=phi[:m, :],
-            z0_bar=phi[m:, :],
-            z1_bar=np.array(payload["cov"]["z1_bar"], dtype=float),
-            count=int(payload["cov"]["count"]),
-            ill_conditioned=bool(payload["cov"]["ill_conditioned"]),
-        )
-        state = cls(
-            config=config,
-            m=m,
-            history=IoHistory(payload["inputs"], payload["outputs"]),
-            map=None if payload["map"] is None else ReductionMap.from_json(json.dumps(payload["map"])),
-            cov=cov,
-            weights=LqrWeights(
-                q=np.array(payload["weights"]["q"], dtype=float),
-                r=np.array(payload["weights"]["r"], dtype=float),
-            ),
-            gain=np.array(payload["gain"], dtype=float),
-            initial_gain=(
-                None
-                if payload.get("initial_gain") is None
-                else np.array(payload["initial_gain"], dtype=float)
-            ),
-            v_prime=np.array(payload["v_prime"], dtype=float),
-            t=int(payload["t"]),
-            warnings=list(payload["warnings"]),
-            v_synced_count=int(payload["v_synced_count"]),
-        )
-        state.rng = np.random.default_rng()
-        state.rng.bit_generator.state = payload["rng_state"]
+        """State from a :meth:`to_json` snapshot.
+
+        Raises ConfigInvalid, naming the missing key where there is one,
+        when the text is not such a snapshot.
+        """
+        try:
+            payload = json.loads(text)
+            config = DeepoConfig.from_dict(payload["config"], "config")
+            cov = {k: np.array(v, dtype=float) if isinstance(v, list) else v for k, v in payload["cov"].items()}
+            state = cls(
+                config=config,
+                m=int(payload["m"]),
+                history=IoHistory(payload["inputs"], payload["outputs"]),
+                map=None if payload["map"] is None else ReductionMap.from_json(json.dumps(payload["map"])),
+                cov=DataCovariances(**cov),
+                weights=LqrWeights(
+                    q=np.array(payload["weights"]["q"], dtype=float),
+                    r=np.array(payload["weights"]["r"], dtype=float),
+                ),
+                gain=np.array(payload["gain"], dtype=float),
+                initial_gain=(
+                    None
+                    if payload.get("initial_gain") is None
+                    else np.array(payload["initial_gain"], dtype=float)
+                ),
+                v_prime=np.array(payload["v_prime"], dtype=float),
+                t=int(payload["t"]),
+                warnings=list(payload["warnings"]),
+                v_synced_count=int(payload["v_synced_count"]),
+            )
+            state.rng = np.random.default_rng()
+            state.rng.bit_generator.state = payload["rng_state"]
+        except KeyError as exc:
+            raise ConfigInvalid(f"checkpoint: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"checkpoint: malformed ({exc})") from None
         return state
 
 
@@ -253,7 +247,7 @@ def offline_init(history: IoHistory, config: DeepoConfig, rng_seed=0) -> DeepoSt
     xi = build_xi_matrix(history, t0, lag)
     rmap = reduce_svd(xi, input_rows=m * lag, r_override=config.r_override)
     z = rmap.t_matrix @ xi
-    u_cols = history.input_array()[lag : lag + t0].T
+    u_cols = history.u[lag : lag + t0].T
     cov = cov_init(u_cols[:, :-1], z[:, :-1], z[:, 1:])
     if config.q_mode == "window":
         # Window-energy penalty: z = diag(s)^-1 U' xi, so Q = diag(s)^2 prices
@@ -264,7 +258,7 @@ def offline_init(history: IoHistory, config: DeepoConfig, rng_seed=0) -> DeepoSt
     else:
         weights = identity_weights(rmap.reduced_dim, m)
     state = DeepoState.fresh(config, m, rng_seed)
-    state.history = history.slice(0, len(history))
+    state.history = history.copy()
     state.map = rmap
     _install_policy(state, cov, weights)
     state.t = len(history)
@@ -288,11 +282,10 @@ def offline_init_direct(u_data, z_data, z_next, config: DeepoConfig, rng_seed=0)
     return state
 
 
-def control_step(state: DeepoState, xi) -> np.ndarray:
-    """Control for the current window: u = K z + probing noise."""
+def control_step(state: DeepoState, z) -> np.ndarray:
+    """Control for the reduced state ``z``: u = K z + probing noise."""
     if not state.initialized:
         raise ValueError("engine is not initialized")
-    z = reduce_state(state.map, xi) if state.map is not None else np.asarray(xi, dtype=float)
     e = state.rng.standard_normal(state.m) * state.config.probe_std
     u = state.gain @ z + e
     if not np.all(np.isfinite(u)):
@@ -397,14 +390,6 @@ def ingest_and_update(state: DeepoState, u_t, z_t, z_next, update: bool = True) 
     return record
 
 
-def _window(history: IoHistory, start: int, stop: int) -> IoHistory:
-    """``history[start:stop]`` sharing the sample arrays instead of copying them."""
-    window = IoHistory()
-    window.inputs = history.inputs[start:stop]
-    window.outputs = history.outputs[start:stop]
-    return window
-
-
 def _activate(state: DeepoState, excitation_start: int, activation_step: int):
     """Fit the running state to its excitation window through :func:`offline_init`.
 
@@ -412,7 +397,7 @@ def _activate(state: DeepoState, excitation_start: int, activation_step: int):
     records and warnings, which are the run's own (the fit's warnings are
     appended).
     """
-    window = _window(state.history, excitation_start, activation_step)
+    window = state.history.window(excitation_start, activation_step)
     fitted = offline_init(window, state.config, rng_seed=state.rng)
     state.warnings.extend(fitted.warnings)
     run = {"history": state.history, "t": state.t, "records": state.records, "warnings": state.warnings}
@@ -451,54 +436,34 @@ def run_online(
     step_fn = _resolve_step(plant)
     cfg = state.config
     first = len(state.records)
+    z_t = None  # reduced state of the current window, carried from the last step
     for _ in range(steps):
         t = state.t
         tic = time.perf_counter()
         if not state.initialized and t == activation_step:
             _activate(state, excitation_start, activation_step)
         if state.initialized:
-            xi = stack_window(state.history, t, cfg.lag)
-            z_t = reduce_state(state.map, xi)
-            u = control_step(state, xi)
-            try:
-                y = step_fn(u)
-                state.history.append(u, y)
-            except NonFinite as exc:
-                raise NonFinite(f"step {t}: {exc}", records=state.records) from exc
+            if z_t is None:
+                z_t = reduce_state(state.map, stack_window(state.history, t, cfg.lag))
+            u = control_step(state, z_t)
+        elif t < excitation_start:
+            u, mode = np.zeros(state.m), "idle"
+        else:
+            u, mode = state.rng.uniform(-cfg.excitation_amp, cfg.excitation_amp, state.m), "excite"
+        try:
+            y = step_fn(u)
+            state.history.append(u, y)
+        except NonFinite as exc:
+            raise NonFinite(f"step {t}: {exc}", records=state.records) from exc
+        if state.initialized:
             z_next = reduce_state(state.map, stack_window(state.history, t + 1, cfg.lag))
             update = policy_updates and (update_start is None or t >= update_start)
             record = ingest_and_update(state, u, z_t, z_next, update=update)
             record.y = y
+            z_t = z_next
         else:
-            if t < excitation_start:
-                u = np.zeros(state.m)
-                mode = "idle"
-            else:
-                u = state.rng.uniform(-cfg.excitation_amp, cfg.excitation_amp, state.m)
-                mode = "excite"
-            try:
-                y = step_fn(u)
-                state.history.append(u, y)
-            except NonFinite as exc:
-                raise NonFinite(f"step {t}: {exc}", records=state.records) from exc
             record = StepRecord(t=t, mode=mode, u=u, y=y)
             state.records.append(record)
             state.t += 1
         record.elapsed_us = (time.perf_counter() - tic) * 1e6
     return state.records[first:]
-
-
-def reinitialize(state: DeepoState, start: int, stop: int) -> DeepoState:
-    """Re-run the offline initialization on a window of the state's history.
-
-    Explicit recovery hook after a known plant change: returns a new state
-    whose reduction map and covariances come from ``history[start:stop]``.
-    The new state has its own copies of the history, the records list and
-    the random generator; the original state is untouched.
-    """
-    window = _window(state.history, start, stop)
-    fresh = offline_init(window, state.config, rng_seed=copy.deepcopy(state.rng))
-    fresh.history = state.history.slice(0, len(state.history))
-    fresh.t = state.t
-    fresh.records = list(state.records)
-    return fresh

@@ -334,7 +334,11 @@ def _run_uncontrolled(config: ScenarioConfig, splant: SwitchingPlant) -> list[St
 
 @dataclass
 class RunSummary:
-    """Condensed view of one scenario run, computed solely from the trace."""
+    """Condensed view of one scenario run, computed solely from the trace.
+
+    ``mean_step_us``/``max_step_us`` time the closed-loop decisions;
+    ``activation_us`` times the activation sample, which also fits the engine.
+    """
 
     name: str
     reduced_dim: int | None
@@ -346,6 +350,7 @@ class RunSummary:
     final_cost: float | None
     mean_step_us: float | None
     max_step_us: float | None
+    activation_us: float | None
     warnings: list[str]
 
     def to_dict(self) -> dict:
@@ -397,7 +402,9 @@ def summarize_run(config: ScenarioConfig, records, state: DeepoState | None) -> 
     post_stop = min(config.activation_step + config.comparison_window, config.trajectory_length)
     post = _rms_per_channel(records, config.activation_step, post_stop)
     costs = [r.cost for r in records if r.cost is not None and math.isfinite(r.cost)]
-    deepo_times = [r.elapsed_us for r in records if r.mode == "deepo" and r.elapsed_us > 0]
+    step_us = {r.t: r.elapsed_us for r in records if r.mode == "deepo" and r.elapsed_us > 0}
+    activation_us = step_us.pop(config.activation_step, None)
+    decision_us = list(step_us.values())
     return RunSummary(
         name=config.name,
         reduced_dim=None if state is None or state.map is None else state.map.reduced_dim,
@@ -407,8 +414,9 @@ def summarize_run(config: ScenarioConfig, records, state: DeepoState | None) -> 
         post_rms_total=None if post is None else float(np.sqrt(np.mean(post**2))),
         envelope_decay_ratio=_envelope_ratio(records, osc_start, config.excitation_start),
         final_cost=costs[-1] if costs else None,
-        mean_step_us=float(np.mean(deepo_times)) if deepo_times else None,
-        max_step_us=float(np.max(deepo_times)) if deepo_times else None,
+        mean_step_us=float(np.mean(decision_us)) if decision_us else None,
+        max_step_us=float(np.max(decision_us)) if decision_us else None,
+        activation_us=activation_us,
         warnings=list(state.warnings) if state is not None else [],
     )
 

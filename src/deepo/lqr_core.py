@@ -55,28 +55,34 @@ def identity_weights(r_dim: int, m: int) -> LqrWeights:
 class DataCovariances:
     """Sample covariances of the data seen so far.
 
-    ``phi`` is the covariance of the stacked sample (u; z); ``u_bar``,
-    ``z0_bar`` are its top and bottom block rows, and ``z1_bar`` is the
-    cross-covariance of the shifted state z+ with (u; z).  ``count`` is the
-    number of samples averaged.  Values are immutable; updates return a new
-    instance.
+    ``phi`` is the covariance of the stacked sample (u; z) and ``z1_bar``
+    the cross-covariance of the shifted state z+ with (u; z); ``u_bar`` and
+    ``z0_bar`` are the top m and bottom r block rows of ``phi``.  ``count``
+    is the number of samples averaged.  Values are immutable; updates return
+    a new instance.
     """
 
     phi: np.ndarray
     phi_inv: np.ndarray
-    u_bar: np.ndarray
-    z0_bar: np.ndarray
     z1_bar: np.ndarray
     count: int
     ill_conditioned: bool = False
 
     @property
     def m(self) -> int:
-        return self.u_bar.shape[0]
+        return len(self.phi) - len(self.z1_bar)
 
     @property
     def r(self) -> int:
-        return self.z0_bar.shape[0]
+        return len(self.z1_bar)
+
+    @property
+    def u_bar(self) -> np.ndarray:
+        return self.phi[: self.m]
+
+    @property
+    def z0_bar(self) -> np.ndarray:
+        return self.phi[self.m :]
 
 
 def cov_init(u_data, z_data, z_next) -> DataCovariances:
@@ -106,14 +112,7 @@ def cov_init(u_data, z_data, z_next) -> DataCovariances:
         )
     phi_inv = np.linalg.inv(phi)
     phi_inv = 0.5 * (phi_inv + phi_inv.T)
-    return DataCovariances(
-        phi=phi,
-        phi_inv=phi_inv,
-        u_bar=phi[:m, :],
-        z0_bar=phi[m:, :],
-        z1_bar=(z_next @ d0.T) / t,
-        count=t,
-    )
+    return DataCovariances(phi=phi, phi_inv=phi_inv, z1_bar=(z_next @ d0.T) / t, count=t)
 
 
 def cov_update(cov: DataCovariances, u_t, z_t, z_next) -> DataCovariances:
@@ -140,12 +139,9 @@ def cov_update(cov: DataCovariances, u_t, z_t, z_next) -> DataCovariances:
     phi_inv = 0.5 * (phi_inv + phi_inv.T)
     # Frobenius-norm product is a cheap upper proxy for the condition number.
     cond_proxy = np.linalg.norm(phi) * np.linalg.norm(phi_inv)
-    m = cov.m
     return DataCovariances(
         phi=phi,
         phi_inv=phi_inv,
-        u_bar=phi[:m, :],
-        z0_bar=phi[m:, :],
         z1_bar=z1_bar,
         count=t + 1,
         ill_conditioned=bool(cond_proxy > _COND_LIMIT),

@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels shared by every module.
 
 Discrete Lyapunov solves, spectral radius, numerical rank, and a
-fixed-point Riccati solver for discounted-free infinite-horizon LQR gains.  Everything here is a pure
-function of plain 2-D float arrays.
+fixed-point Riccati solver for undiscounted infinite-horizon LQR gains.
+Everything here is a pure function of plain 2-D float arrays.
 """
 
 from __future__ import annotations

@@ -259,9 +259,6 @@ class OracleRealization:
     y_t = s_row @ xi_t.
     """
 
-    obs: np.ndarray
-    ctrb: np.ndarray
-    toeplitz: np.ndarray
     s_row: np.ndarray
     a_xi: np.ndarray
     b_xi: np.ndarray
@@ -297,9 +294,7 @@ def build_nonminimal_oracle(model: PlantModel, lag: int) -> OracleRealization:
         a_xi[r0 : r0 + p, c0 : c0 + p] = np.eye(p)
     b_xi = np.zeros((q, m))
     b_xi[:m, :] = np.eye(m)
-    return OracleRealization(
-        obs=obs, ctrb=ctrb, toeplitz=toep, s_row=s_row, a_xi=a_xi, b_xi=b_xi
-    )
+    return OracleRealization(s_row=s_row, a_xi=a_xi, b_xi=b_xi)
 
 
 def model_lqr_gain(a_z, b_z, q, r) -> np.ndarray:

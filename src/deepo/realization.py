@@ -20,49 +20,71 @@ GAP_RATIO = 1.8
 
 
 class IoHistory:
-    """Time-ordered record of applied inputs and measured outputs."""
+    """Time-ordered record of applied inputs and measured outputs.
 
-    def __init__(self, inputs=None, outputs=None):
-        self.inputs: list[np.ndarray] = []
-        self.outputs: list[np.ndarray] = []
-        if inputs is not None or outputs is not None:
-            inputs = [] if inputs is None else list(inputs)
-            outputs = [] if outputs is None else list(outputs)
-            if len(inputs) != len(outputs):
-                raise ValueError("inputs and outputs must have equal length")
-            for u, y in zip(inputs, outputs):
-                self.append(u, y)
+    ``u`` (T x m) and ``y`` (T x p) hold one row per sample.  They are views,
+    not to be written to, of buffers that grow by doubling: appending costs
+    amortized O(m + p) and a :meth:`window` of the history shares its rows.
+    """
+
+    def __init__(self, inputs=(), outputs=()):
+        self._u = self._y = np.empty((0, 0))
+        self._len = 0
+        if len(inputs) != len(outputs):
+            raise ValueError("inputs and outputs must have equal length")
+        for u, y in zip(inputs, outputs):
+            self.append(u, y)
+
+    @classmethod
+    def _of(cls, u: np.ndarray, y: np.ndarray) -> "IoHistory":
+        out = cls()
+        out._u, out._y, out._len = u, y, len(u)
+        return out
 
     def append(self, u, y):
         u = np.asarray(u, dtype=float).reshape(-1)
         y = np.asarray(y, dtype=float).reshape(-1)
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
             raise NonFinite("history entries must be finite")
-        if self.inputs:
-            if u.shape != self.inputs[0].shape or y.shape != self.outputs[0].shape:
-                raise DimensionMismatch("inconsistent channel counts in history")
-        self.inputs.append(u)
-        self.outputs.append(y)
+        n = self._len
+        if n and (u.size != self.m or y.size != self.p):
+            raise DimensionMismatch("inconsistent channel counts in history")
+        if n == len(self._u):
+            # Full, or a window sharing its parent's rows: move to own buffers
+            # of twice the size.
+            spare = max(n, 64)
+            self._u = np.concatenate((self.u.reshape(n, u.size), np.empty((spare, u.size))))
+            self._y = np.concatenate((self.y.reshape(n, y.size), np.empty((spare, y.size))))
+        self._u[n] = u
+        self._y[n] = y
+        self._len = n + 1
 
     def __len__(self) -> int:
-        return len(self.inputs)
+        return self._len
+
+    @property
+    def u(self) -> np.ndarray:
+        return self._u[: self._len]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._y[: self._len]
 
     @property
     def m(self) -> int:
-        return self.inputs[0].shape[0] if self.inputs else 0
+        return self._u.shape[1]
 
     @property
     def p(self) -> int:
-        return self.outputs[0].shape[0] if self.outputs else 0
+        return self._y.shape[1]
 
-    def slice(self, start: int, stop: int) -> "IoHistory":
-        out = IoHistory()
-        out.inputs = [u.copy() for u in self.inputs[start:stop]]
-        out.outputs = [y.copy() for y in self.outputs[start:stop]]
-        return out
+    def window(self, start: int, stop: int) -> "IoHistory":
+        """Samples ``start..stop-1`` as a history sharing this one's rows."""
+        return self._of(self.u[start:stop], self.y[start:stop])
 
-    def input_array(self) -> np.ndarray:
-        return np.array(self.inputs, dtype=float).reshape(len(self), -1)
+    def copy(self) -> "IoHistory":
+        """A history owning copies of this one's rows."""
+        return self._of(self.u.copy(), self.y.copy())
 
 
 def stack_window(history: IoHistory, t: int, lag: int) -> np.ndarray:
@@ -80,9 +102,15 @@ def stack_window(history: IoHistory, t: int, lag: int) -> np.ndarray:
             f"window at t={t} with lag={lag} needs samples {t - lag}..{t - 1}, "
             f"history has {len(history)}"
         )
-    u_part = [history.inputs[t - i] for i in range(1, lag + 1)]
-    y_part = [history.outputs[t - i] for i in range(1, lag + 1)]
-    return np.concatenate(u_part + y_part)
+    return np.concatenate(
+        (history.u[t - lag : t][::-1].reshape(-1), history.y[t - lag : t][::-1].reshape(-1))
+    )
+
+
+def _lagged(rows: np.ndarray, t0: int, lag: int) -> np.ndarray:
+    """Rows ``j + lag - 1, ..., j`` stacked into column j, for j < t0."""
+    windows = np.lib.stride_tricks.sliding_window_view(rows[: t0 + lag - 1], lag, axis=0)
+    return windows[:, :, ::-1].transpose(2, 1, 0).reshape(lag * rows.shape[1], t0)
 
 
 def build_xi_matrix(history: IoHistory, t0: int, lag: int) -> np.ndarray:
@@ -92,13 +120,14 @@ def build_xi_matrix(history: IoHistory, t0: int, lag: int) -> np.ndarray:
     """
     if t0 < 1:
         raise ValueError("t0 must be at least 1")
+    if lag < 1:
+        raise ValueError("lag must be at least 1")
     if len(history) < t0 + lag:
         raise InsufficientHistory(
             f"need {t0 + lag} samples for {t0} windows at lag {lag}, "
             f"history has {len(history)}"
         )
-    cols = [stack_window(history, lag + j, lag) for j in range(t0)]
-    return np.column_stack(cols)
+    return np.vstack((_lagged(history.u, t0, lag), _lagged(history.y, t0, lag)))
 
 
 @dataclass
@@ -217,10 +246,9 @@ def reduce_svd(xi_mat, input_rows: int, r_override: int | None = None) -> Reduct
 def reduce_state(reduction: ReductionMap, xi) -> np.ndarray:
     """Apply the reduction map: z = T xi."""
     xi = np.asarray(xi, dtype=float)
-    flat = xi.reshape(-1) if xi.ndim == 1 else xi
-    if flat.shape[0] != reduction.t_matrix.shape[1]:
+    if xi.shape[0] != reduction.t_matrix.shape[1]:
         raise DimensionMismatch(
-            f"window has {flat.shape[0]} entries, map expects "
+            f"window has {xi.shape[0]} entries, map expects "
             f"{reduction.t_matrix.shape[1]}"
         )
-    return reduction.t_matrix @ flat
+    return reduction.t_matrix @ xi

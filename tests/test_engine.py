@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import deepo.engine
 import deepo.lqr_core
 from conftest import direct_data, random_minimal, random_pair
 from deepo.engine import (
@@ -15,7 +16,6 @@ from deepo.engine import (
     ingest_and_update,
     offline_init,
     offline_init_direct,
-    reinitialize,
     run_online,
 )
 from deepo.errors import ConfigInvalid, InsufficientHistory, NonFinite
@@ -263,6 +263,8 @@ def test_state_json_roundtrip():
     npt.assert_allclose(clone.cov.phi, state.cov.phi)
     npt.assert_allclose(clone.v_prime, state.v_prime)
     npt.assert_allclose(clone.map.t_matrix, state.map.t_matrix)
+    npt.assert_array_equal(clone.history.u, state.history.u)
+    npt.assert_array_equal(clone.history.y, state.history.y)
     assert clone.t == state.t
     assert clone.v_synced_count == state.v_synced_count
     assert clone.config == state.config
@@ -280,37 +282,47 @@ def test_checkpoint_with_unknown_config_keys_is_config_invalid():
         DeepoState.from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"config": {"lag": 2}}', "'cov'"),
+        ("nope", "malformed"),
+        ("[]", "malformed"),
+        (None, "inputs and outputs"),
+    ],
+)
+def test_malformed_checkpoint_is_config_invalid(text, key):
+    if text is None:
+        state, _ = surrogate_run(seed=8, steps=520)
+        payload = json.loads(state.to_json())
+        payload["outputs"].pop()
+        text = json.dumps(payload)
+    with pytest.raises(ConfigInvalid, match=key):
+        DeepoState.from_json(text)
+
+
 def test_control_step_uses_gain_and_probe():
     state, _ = surrogate_run(seed=9, steps=620)
-    xi = np.zeros(state.map.t_matrix.shape[1])
+    z = np.zeros(state.map.reduced_dim)
     state.config.probe_std = 0.0
-    u = control_step(state, xi)
+    u = control_step(state, z)
     npt.assert_allclose(u, np.zeros(state.m), atol=1e-12)
 
 
-def test_reinitialize_rebuilds_from_window():
-    state, _ = surrogate_run(seed=10, steps=700)
-    fresh = reinitialize(state, 400, 700)
-    assert fresh.t == state.t
-    assert len(fresh.history) == len(state.history)
-    assert fresh.map is not state.map
-    assert fresh.cov.count < state.cov.count
-    # Original untouched.
-    assert state.initialized and fresh.initialized
+def test_closed_loop_decision_forms_one_window(monkeypatch):
+    # Step t's z_next is step t+1's z_t: one window stacked and reduced per
+    # closed-loop decision.
+    state, _ = surrogate_run(seed=9, steps=520)
+    calls = {"stack_window": 0, "reduce_state": 0}
+    for name in calls:
+        inner = getattr(deepo.engine, name)
 
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
 
-def test_reinitialize_leaves_original_untouched():
-    # Driving the re-initialized state touches neither the original's
-    # records nor its random stream.
-    state, _ = surrogate_run(seed=10, steps=620)
-    fresh = reinitialize(state, 400, 620)
-    n_records = len(state.records)
-    twin = DeepoState.from_json(state.to_json())
-    assert len(fresh.records) == n_records
-    xi = np.zeros(fresh.map.t_matrix.shape[1])
-    u = control_step(fresh, xi)
-    z = np.zeros(fresh.map.reduced_dim)
-    ingest_and_update(fresh, u, z, z)
-    assert len(state.records) == n_records
-    assert len(fresh.records) == n_records + 1
-    npt.assert_array_equal(state.rng.standard_normal(4), twin.rng.standard_normal(4))
+        monkeypatch.setattr(deepo.engine, name, counted)
+    plant, schedule = make_surrogate_converter(rng_seed=9, switch_step=100)
+    run_online(state, plant, steps=10, activation_step=500)
+    # One window per decision, plus the one the call starts from.
+    assert calls == {"stack_window": 11, "reduce_state": 11}

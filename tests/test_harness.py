@@ -8,6 +8,7 @@ import pytest
 
 import deepo.lqr_core
 from deepo.cli import main
+from deepo.engine import StepRecord
 from deepo.errors import ConfigInvalid, DeepoError, IllConditioned
 from deepo.harness import (
     SCHEMA_VERSION,
@@ -17,6 +18,7 @@ from deepo.harness import (
     run_adaptation_scenario,
     run_scenario,
     scenario_path,
+    summarize_run,
 )
 from deepo.plant import surrogate_io_matrices, surrogate_oscillatory_dynamics
 
@@ -154,6 +156,7 @@ def test_run_scenario_outputs_are_reproducible(tmp_path):
     for payload in (p1, p2):
         payload.pop("mean_step_us")
         payload.pop("max_step_us")
+        payload.pop("activation_us")
     assert p1 == p2
     assert s1.post_rms_total == s2.post_rms_total
 
@@ -185,6 +188,21 @@ def test_summary_json_content(tmp_path):
     assert payload["post_rms_total"] == summary.post_rms_total
     assert len(payload["post_rms"]) == 2
     assert payload["mean_step_us"] > 0
+
+
+def test_summary_times_decisions_apart_from_activation():
+    # Activation at t = 60 takes 40 ms; the three decisions after it take
+    # 100, 200 and 600 us.  Idle and excitation samples are not timed.
+    config = parse_scenario(scenario())
+    elapsed = {58: 5.0, 59: 5.0, 60: 40000.0, 61: 100.0, 62: 200.0, 63: 600.0}
+    records = [
+        StepRecord(t=t, mode="deepo" if t >= 60 else "excite", u=np.zeros(2), y=np.zeros(2), elapsed_us=us)
+        for t, us in elapsed.items()
+    ]
+    summary = summarize_run(config, records, None)
+    assert summary.activation_us == 40000.0
+    assert summary.mean_step_us == 300.0
+    assert summary.max_step_us == 600.0
 
 
 def test_write_flags_suppress_outputs(tmp_path):

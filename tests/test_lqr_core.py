@@ -222,8 +222,6 @@ def test_adaptive_stepsize_caps_without_excitation():
     cov = DataCovariances(
         phi=phi,
         phi_inv=np.linalg.pinv(phi),
-        u_bar=phi[:1, :],
-        z0_bar=phi[1:, :],
         z1_bar=np.array([[0.5, 0.5]]),
         count=10,
     )
@@ -276,7 +274,7 @@ def test_initial_policy_unstabilizable_estimate():
     phi = np.eye(3)
     z1 = np.array([[0.0, 1.5, 0.0], [1.0, 0.0, 0.5]])  # [B A] with A=diag(1.5,.5)
     cov = DataCovariances(
-        phi=phi, phi_inv=phi, u_bar=phi[:1, :], z0_bar=phi[1:, :], z1_bar=z1, count=10
+        phi=phi, phi_inv=phi, z1_bar=z1, count=10
     )
     with pytest.raises(Unstabilizable):
         initial_policy(cov, identity_weights(2, 1))

@@ -58,6 +58,17 @@ def test_build_xi_matrix_columns_are_windows():
         build_xi_matrix(h, t0=5, lag=2)
 
 
+@pytest.mark.parametrize("lag", [1, 2, 3, 4])
+def test_build_xi_matrix_equals_per_column_windows(rng, lag):
+    # m = 2 inputs, p = 3 outputs: the strided matrix is the per-column
+    # stacking, bit for bit.
+    h = history_from(rng.standard_normal((40, 2)), rng.standard_normal((40, 3)))
+    t0 = 40 - lag
+    xi = build_xi_matrix(h, t0, lag)
+    expected = np.column_stack([stack_window(h, lag + j, lag) for j in range(t0)])
+    npt.assert_array_equal(xi, expected)
+
+
 def test_iohistory_validation_and_slice():
     h = IoHistory()
     h.append([1.0, 2.0], [0.5])
@@ -66,10 +77,27 @@ def test_iohistory_validation_and_slice():
     with pytest.raises(NonFinite):
         h.append([np.inf, 0.0], [0.5])
     h.append([3.0, 4.0], [1.5])
-    sliced = h.slice(1, 2)
-    sliced.inputs[0][0] = 99.0
-    assert h.inputs[1][0] == 3.0  # slice owns copies
     assert h.m == 2 and h.p == 1 and len(h) == 2
+    window = h.window(1, 2)
+    assert np.shares_memory(window.u, h.u) and len(window) == 1
+    npt.assert_array_equal(window.u, [[3.0, 4.0]])
+    copied = h.copy()
+    assert not np.shares_memory(copied.u, h.u) and not np.shares_memory(copied.y, h.y)
+    # Appending to a window moves it to its own rows; the parent is untouched.
+    window.append([5.0, 6.0], [2.5])
+    npt.assert_array_equal(h.u, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_iohistory_growth_keeps_every_row(rng):
+    u, y = rng.standard_normal((300, 2)), rng.standard_normal((300, 1))
+    h = IoHistory()
+    for t in range(300):
+        h.append(u[t], y[t])
+        if t == 9:
+            window = h.window(0, 10)
+    npt.assert_array_equal(h.u, u)
+    npt.assert_array_equal(h.y, y)
+    npt.assert_array_equal(window.u, u[:10])
 
 
 def test_select_rank_clear_gap():
@@ -147,7 +175,7 @@ def test_window_matrix_rank_laws(rng):
     t0 = steps - lag
     xi = build_xi_matrix(h, t0, lag)
     assert numerical_rank(xi) == m * lag + n
-    u_now = h.input_array()[lag : lag + t0].T
+    u_now = h.u[lag : lag + t0].T
     stacked = np.vstack([u_now, xi])
     assert numerical_rank(stacked) == m * (lag + 1) + n
     assert numerical_rank(stacked) < stacked.shape[0]
