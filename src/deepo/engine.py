@@ -179,8 +179,9 @@ class DeepoState:
     def from_json(cls, text: str) -> "DeepoState":
         """State from a :meth:`to_json` snapshot.
 
-        Raises ConfigInvalid, naming the missing key where there is one,
-        when the text is not such a snapshot.
+        Raises ConfigInvalid, naming the missing key or the array whose
+        shape does not fit the others where there is one, when the text is
+        not such a snapshot.
         """
         try:
             payload = json.loads(text)
@@ -213,7 +214,36 @@ class DeepoState:
             raise ConfigInvalid(f"checkpoint: missing key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ConfigInvalid(f"checkpoint: malformed ({exc})") from None
+        state._check_shapes()
         return state
+
+    def _check_shapes(self):
+        """Raise ConfigInvalid naming the first loaded array that does not fit
+        m, r = ``len(cov.z1_bar)`` and, when there is a map, the history and lag."""
+        m, r = self.m, len(self.cov.z1_bar)
+        expected = [
+            ("cov.phi", self.cov.phi, (m + r, m + r)),
+            ("cov.phi_inv", self.cov.phi_inv, (m + r, m + r)),
+            ("cov.z1_bar", self.cov.z1_bar, (r, m + r)),
+            ("weights.q", self.weights.q, (r, r)),
+            ("weights.r", self.weights.r, (m, m)),
+            ("gain", self.gain, (m, r)),
+            ("initial_gain", self.initial_gain, (m, r)),
+            ("v_prime", self.v_prime, (m + r, r)),
+        ]
+        if self.map is not None:
+            # States from offline_init_direct keep neither a map nor a history;
+            # IoHistory has already checked that outputs has as many rows as inputs.
+            lag = self.config.lag
+            if self.map.input_rows != m * lag:
+                raise ConfigInvalid(f"checkpoint: map.input_rows is {self.map.input_rows}, expected {m * lag}")
+            expected += [
+                ("inputs", self.history.u, (len(self.history), m)),
+                ("map.t_matrix", self.map.t_matrix, (r, (m + self.history.p) * lag)),
+            ]
+        for name, value, shape in expected:
+            if value is not None and value.shape != shape:
+                raise ConfigInvalid(f"checkpoint: {name} has shape {value.shape}, expected {shape}")
 
 
 def _install_policy(state: DeepoState, cov: DataCovariances, weights: LqrWeights):
@@ -323,7 +353,7 @@ def _policy_step(state: DeepoState, prev_cov: DataCovariances, u_t, z_t):
         state.warn(f"data covariance poorly conditioned at t={state.t}")
     v = _reparameterize(state, prev_cov, u_t, z_t)
     pi = nullspace_projection(cov)
-    eta_base, capped = adaptive_stepsize(cov, cfg.eta0, pi)
+    eta_base, capped = adaptive_stepsize(cov, cfg.eta0)
     if capped:
         state.warn(f"excitation level vanished at t={state.t}; stepsize capped")
     eta_used = grad_norm = None

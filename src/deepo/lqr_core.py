@@ -6,8 +6,15 @@ Zbar0 V = I yields the gain K = Ubar V and closed-loop matrix Zbar1 V.  The
 routines here maintain those covariances recursively, evaluate the LQR cost
 and its exact gradient in V, and take projected gradient steps that stay on
 the constraint set.  :func:`closed_loop` is the one place a V is tested for
-feasibility; the :class:`ClosedLoop` it returns carries the state covariance
-that both the cost and the gradient are read from.
+feasibility, and the test is the Lyapunov solve for the closed-loop state
+covariance itself: the solve rejects V once that covariance grows past the
+bound that keeps the spectral radius below ``1 - FEASIBILITY_MARGIN``.  The
+:class:`ClosedLoop` it returns carries the covariance that both the cost and
+the gradient are read from.  The projector and the stepsize come from the
+first m columns of the Sherman-Morrison inverse ``phi_inv``, so the
+per-sample routines here need no general eigenvalues, pseudo-inverse or
+SVD; the one spectral quantity left is the smallest eigenvalue of an m x m
+symmetric matrix.
 """
 
 from __future__ import annotations
@@ -16,11 +23,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, RankDeficient, Unstabilizable, Unstable
-from .numerics import _dlyap_doubling, riccati_gain, spectral_radius
+from .errors import (
+    DimensionMismatch,
+    NoConvergence,
+    NotStable,
+    RankDeficient,
+    Unstabilizable,
+    Unstable,
+)
+from .numerics import _dlyap_doubling, riccati_gain
 
-# Closed-loop spectral radii at or above this are treated as infeasible.
+# Every feasible closed loop has spectral radius below 1 - FEASIBILITY_MARGIN.
+# It is enforced through the state covariance Sigma = I + A Sigma A': for a
+# unit left eigenvector w of A with eigenvalue lam, 1 - |lam|^2 = 1 / (w' Sigma w)
+# >= 1 / ||Sigma||_F, so ||Sigma||_F < _SIGMA_BOUND keeps |lam| < 1 - FEASIBILITY_MARGIN.
 FEASIBILITY_MARGIN = 1e-9
+_SIGMA_BOUND = 1.0 / (1.0 - (1.0 - FEASIBILITY_MARGIN) ** 2)
 
 _COND_LIMIT = 1e12
 
@@ -219,15 +237,19 @@ class ClosedLoop:
 def closed_loop(cov: DataCovariances, v, weights: LqrWeights) -> ClosedLoop:
     """Test ``v`` for feasibility and evaluate its closed loop.
 
-    Raises Unstable when Zbar1 V has spectral radius at or above
-    ``1 - FEASIBILITY_MARGIN``; otherwise solves one Lyapunov equation for
-    the state covariance.
+    Solves Sigma = I + A Sigma A' for A = Zbar1 V by doubling and raises
+    Unstable when an iterate reaches ``||Sigma||_F >= 1 / (1 - (1 -
+    FEASIBILITY_MARGIN)^2)`` or is not finite.  Since
+    ``1 - |lam|^2 >= 1 / ||Sigma||_F`` for every eigenvalue lam of A, an
+    accepted V has spectral radius below ``1 - FEASIBILITY_MARGIN``; a
+    strongly non-normal A can be rejected below that radius.
     """
     v = np.asarray(v, dtype=float)
     a_cl = cov.z1_bar @ v
-    if spectral_radius(a_cl) >= 1.0 - FEASIBILITY_MARGIN:
-        raise Unstable("closed loop of the policy is not Schur stable")
-    sigma = _dlyap_doubling(a_cl, np.eye(cov.r))
+    try:
+        sigma = _dlyap_doubling(a_cl, np.eye(cov.r), _SIGMA_BOUND)
+    except NotStable:
+        raise Unstable("closed loop of the policy is not Schur stable") from None
     k = cov.u_bar @ v
     q_k = weights.q + k.T @ weights.r @ k
     return ClosedLoop(v=v, a_cl=a_cl, q_k=q_k, sigma=sigma)
@@ -237,9 +259,9 @@ def data_cost(cov: DataCovariances, v, weights: LqrWeights) -> float:
     """LQR cost of a decision matrix under the data-driven dynamics.
 
     Returns ``trace((Q + K' R K) Sigma)`` with Sigma the closed-loop state
-    covariance for unit process noise, or ``inf`` when the closed loop
-    Zbar1 V is not Schur stable (infeasible policies are a value, not a
-    crash, so line searches can compare them).
+    covariance for unit process noise, or ``inf`` when :func:`closed_loop`
+    rejects V as infeasible (infeasible policies are a value, not a crash,
+    so line searches can compare them).
     """
     try:
         return closed_loop(cov, v, weights).cost
@@ -258,33 +280,40 @@ def gradient(cov: DataCovariances, cl: ClosedLoop, weights: LqrWeights) -> np.nd
     return 2.0 * (cov.u_bar.T @ ru + cov.z1_bar.T @ p @ cov.z1_bar) @ cl.v @ cl.sigma
 
 
+def _nullspace_basis(cov: DataCovariances):
+    """``N = Phi^{-1}[:, :m]`` and ``N'N``: Phi N = [I; 0], so Ubar N = I and
+    the m columns of N span the nullspace of Zbar0."""
+    n = cov.phi_inv[:, : cov.m]
+    return n, n.T @ n
+
+
 def nullspace_projection(cov: DataCovariances) -> np.ndarray:
     """Orthogonal projector onto the nullspace of Zbar0.
 
     Gradient steps multiplied by this projector preserve the constraint
-    Zbar0 V = I.  The projector has trace m.
+    Zbar0 V = I.  Computed as ``N (N'N)^{-1} N'`` from the first m columns
+    N of the Sherman-Morrison inverse ``phi_inv`` (one m x m solve).  The
+    projector has trace m.
     """
-    z0 = cov.z0_bar
-    pi = np.eye(z0.shape[1]) - np.linalg.pinv(z0) @ z0
+    n, ntn = _nullspace_basis(cov)
+    pi = n @ np.linalg.solve(ntn, n.T)
     return 0.5 * (pi + pi.T)
 
 
-def adaptive_stepsize(cov: DataCovariances, eta0: float, pi: np.ndarray | None = None):
+def adaptive_stepsize(cov: DataCovariances, eta0: float):
     """Stepsize scaled by the excitation level of the data.
 
     Returns ``(eta0 / ||Ubar Pi Ubar'||, capped)`` where the norm is
-    spectral.  The denominator measures the input energy not explained by
-    the state — effectively the probing power — so steps grow when probing
-    is faint.  A denominator below 1e-12 is capped (``capped = True``).
-    ``pi`` is the :func:`nullspace_projection` of ``cov`` when the caller
-    already has it; it is computed here otherwise.
+    spectral and Pi is the :func:`nullspace_projection`.  The denominator
+    measures the input energy not explained by the state — effectively the
+    probing power — so steps grow when probing is faint.  With Ubar N = I it
+    equals ``||(N'N)^{-1}|| = 1 / lambda_min(N'N)``, read from one m x m
+    ``eigvalsh``.  A denominator below 1e-12 is capped (``capped = True``).
     """
-    if pi is None:
-        pi = nullspace_projection(cov)
-    denom = np.linalg.norm(cov.u_bar @ pi @ cov.u_bar.T, ord=2)
-    if denom < 1e-12:
+    lam_min = np.linalg.eigvalsh(_nullspace_basis(cov)[1])[0]
+    if not lam_min < 1e12:
         return eta0 / 1e-12, True
-    return eta0 / denom, False
+    return eta0 * lam_min, False
 
 
 def initial_policy(cov: DataCovariances, weights: LqrWeights) -> np.ndarray:

@@ -59,23 +59,37 @@ def solve_dlyap(a_cl: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _dlyap_doubling(a, w)
 
 
-def _dlyap_doubling(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _dlyap_doubling(a: np.ndarray, w: np.ndarray, bound: float | None = None) -> np.ndarray:
     """Squared-Smith doubling solve of X = W + A X A^T, without input checks.
 
-    For callers that have already checked that ``a`` is Schur stable and
-    ``w`` is a symmetric matrix of the same shape; :func:`solve_dlyap`
-    documents the contract.  X <- X + A_k X A_k^T with A_k = A^(2^k) sums
-    the series in O(log) matrix products.
+    For callers that have already checked that ``w`` is a symmetric matrix
+    of the same shape as ``a`` and that ``a`` is Schur stable, or that pass
+    ``bound``; :func:`solve_dlyap` documents the contract.
+    X <- X + A_k X A_k^T with A_k = A^(2^k) sums the series in O(log)
+    matrix products.
+
+    With ``bound`` the solve is its own stability test for ``w = I``: the
+    partial sums grow monotonically towards X, so NotStable is raised as
+    soon as ``||X||_F`` reaches ``bound`` or an iterate is not finite.
+    ``||A||_F^2 >= n bound`` already forces ``||I + A A^T||_F >= bound`` and
+    is rejected before the first product, which therefore cannot overflow;
+    every later product is bounded by the accepted iterate.
     """
     # Squared Frobenius norms via vdot: the same tests as comparing norms,
-    # at a fraction of np.linalg.norm's call overhead on small matrices.
+    # at a fraction of np.linalg.norm's call overhead on small matrices, and
+    # an overflowing sum reads inf instead of warning.
+    if bound is not None and not np.vdot(a, a) < len(a) * bound:
+        raise NotStable("closed-loop matrix too large for a solution within the bound")
     w = 0.5 * (w + w.T)
     x = w
     a_k = a
     for _ in range(200):
         delta = a_k @ x @ a_k.T
         x = x + delta
-        if np.vdot(delta, delta) <= 1e-30 * np.vdot(x, x):
+        xx = np.vdot(x, x)
+        if bound is not None and not xx < bound * bound:
+            raise NotStable("Lyapunov iterates reached the bound or are not finite")
+        if np.vdot(delta, delta) <= 1e-30 * xx:
             break
         a_k = a_k @ a_k
     else:
@@ -119,7 +133,8 @@ def riccati_gain(
 
     Raises:
         NoConvergence: if the residual does not reach ``tol`` within
-            ``max_iter`` sweeps, or the resulting closed loop is not stable.
+            ``max_iter`` sweeps, the iterates diverge, or the resulting
+            closed loop is not stable.
     """
     a = _as_square(a, "a")
     b = np.asarray(b, dtype=float)
@@ -129,13 +144,19 @@ def riccati_gain(
     if b.shape[0] != n:
         raise ValueError(f"b has {b.shape[0]} rows, expected {n}")
     p = 0.5 * (q + q.T)
-    for _ in range(max_iter):
+    for sweep in range(1, max_iter + 1):
         bpb = r + b.T @ p @ b
         bpa = b.T @ p @ a
         k = -np.linalg.solve(bpb, bpa)
         p_next = q + a.T @ p @ a + a.T @ p @ b @ k
         p_next = 0.5 * (p_next + p_next.T)
-        if np.linalg.norm(p_next - p) <= tol * max(1.0, np.linalg.norm(p_next)):
+        # Frobenius norms as sqrt(vdot), the bits np.linalg.norm computes:
+        # an overflowing sum reads inf instead of warning.
+        d = p_next - p
+        size = np.sqrt(np.vdot(p_next, p_next))
+        if not np.isfinite(size):
+            raise NoConvergence(f"Riccati iterates diverged after {sweep} sweeps")
+        if np.sqrt(np.vdot(d, d)) <= tol * max(1.0, size):
             p = p_next
             k = -np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
             if spectral_radius(a + b @ k) >= 1.0:

@@ -1,6 +1,8 @@
 """Online engine: initialization, the per-sample loop, and persistence."""
 
 import json
+import re
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -19,7 +21,7 @@ from deepo.engine import (
     run_online,
 )
 from deepo.errors import ConfigInvalid, InsufficientHistory, NonFinite
-from deepo.lqr_core import adaptive_stepsize, data_cost, nullspace_projection, parameterize
+from deepo.lqr_core import adaptive_stepsize, data_cost, parameterize
 from deepo.plant import (
     PlantModel,
     fit_linear_dynamics,
@@ -150,9 +152,9 @@ def test_held_gain_step_prices_without_moving(rng):
 
 
 def test_update_evaluates_each_closed_loop_once(rng, monkeypatch):
-    # Five accepted steps: one feasibility test for the starting point and
-    # one per trial (6), and per step a P solve plus the trial's sigma solve
-    # on top of the starting sigma (11).
+    # Five accepted steps: one closed-loop evaluation for the starting point
+    # and one per trial (6), and per step a P solve plus the trial's sigma
+    # solve on top of the starting sigma (11).
     a, b = random_pair(rng, 3, 2)
     u0, z0, z0_next = direct_data(rng, a, b, steps=60, noise_std=1e-3)
     cfg = DeepoConfig(lag=1, gradient_steps_per_sample=5)
@@ -160,20 +162,45 @@ def test_update_evaluates_each_closed_loop_once(rng, monkeypatch):
     zc = z0_next[:, -1].copy()
     uc = state.gain @ zc + 0.01 * state.rng.standard_normal(2)
     zn = a @ zc + b @ uc
-    calls = {"spectral_radius": 0, "_dlyap_doubling": 0}
-    for name in calls:
-        inner = getattr(deepo.lqr_core, name)
+    calls = {"closed_loop": 0, "_dlyap_doubling": 0}
+    for module, name in ((deepo.engine, "closed_loop"), (deepo.lqr_core, "_dlyap_doubling")):
+        inner = getattr(module, name)
 
         def counted(*args, _inner=inner, _name=name):
             calls[_name] += 1
             return _inner(*args)
 
-        monkeypatch.setattr(deepo.lqr_core, name, counted)
+        monkeypatch.setattr(module, name, counted)
     record = ingest_and_update(state, uc, zc, zn)
-    eta_base, _ = adaptive_stepsize(state.cov, cfg.eta0, nullspace_projection(state.cov))
+    eta_base, _ = adaptive_stepsize(state.cov, cfg.eta0)
     assert not state.warnings
     assert record.eta == eta_base  # accepted at the first trial
-    assert calls == {"spectral_radius": 6, "_dlyap_doubling": 11}
+    assert calls == {"closed_loop": 6, "_dlyap_doubling": 11}
+
+
+def test_per_sample_path_needs_no_eigendecomposition_or_svd(rng, monkeypatch):
+    # A 5-step update and a held-gain step run with eigvals, pinv and svd
+    # unavailable, including to numpy's own callers such as norm(ord=2).
+    a, b = random_pair(rng, 3, 2)
+    u0, z0, z0_next = direct_data(rng, a, b, steps=60, noise_std=1e-3)
+    state = offline_init_direct(u0, z0, z0_next, DeepoConfig(lag=1, gradient_steps_per_sample=5), rng_seed=3)
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("per-sample path called an eigendecomposition or an SVD")
+
+    linalg_impl = sys.modules[np.linalg.norm.__wrapped__.__globals__["__name__"]]
+    for module in (np.linalg, linalg_impl):
+        for name in ("eigvals", "pinv", "svd"):
+            monkeypatch.setattr(module, name, unavailable)
+    zc = z0_next[:, -1].copy()
+    for update in (True, True, True, True, True, False):
+        uc = state.gain @ zc + 0.01 * state.rng.standard_normal(2)
+        zn = a @ zc + b @ uc
+        record = ingest_and_update(state, uc, zc, zn, update=update)
+        assert np.isfinite(record.cost)
+        assert (record.eta is not None) == update
+        zc = zn
+    assert not state.warnings
 
 
 def surrogate_run(seed, steps=700, policy_updates=True, update_start=None):
@@ -282,6 +309,28 @@ def test_checkpoint_with_unknown_config_keys_is_config_invalid():
         DeepoState.from_json(json.dumps(payload))
 
 
+def _drop_last_column(rows):
+    return [row[:-1] for row in rows]
+
+
+def _edit(path, change):
+    """Checkpoint edit replacing the entry at a dotted ``path`` by ``change(entry)``."""
+
+    def edit(payload):
+        *parents, leaf = path.split(".")
+        for key in parents:
+            payload = payload[key]
+        payload[leaf] = change(payload[leaf])
+
+    return pytest.param(edit, re.escape(f"checkpoint: {path} "), id=path)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_payload():
+    state, _ = surrogate_run(seed=8, steps=520)
+    return state.to_json()
+
+
 @pytest.mark.parametrize(
     "text, key",
     [
@@ -289,16 +338,43 @@ def test_checkpoint_with_unknown_config_keys_is_config_invalid():
         ("nope", "malformed"),
         ("[]", "malformed"),
         (None, "inputs and outputs"),
+        # Arrays whose shapes do not fit m = 2, r = 8, p = 2 and lag = 2.
+        _edit("gain", lambda _: np.zeros((2, 3)).tolist()),
+        _edit("initial_gain", _drop_last_column),
+        _edit("v_prime", _drop_last_column),
+        _edit("cov.phi", _drop_last_column),
+        _edit("cov.phi_inv", _drop_last_column),
+        _edit("cov.z1_bar", _drop_last_column),
+        _edit("weights.q", lambda q: np.eye(len(q) + 1).tolist()),
+        _edit("weights.r", lambda r: np.eye(len(r) + 1).tolist()),
+        _edit("inputs", lambda rows: [row + [0.0] for row in rows]),
+        _edit("map.t_matrix", _drop_last_column),
+        _edit("map.input_rows", lambda rows: rows + 1),
     ],
 )
-def test_malformed_checkpoint_is_config_invalid(text, key):
-    if text is None:
-        state, _ = surrogate_run(seed=8, steps=520)
-        payload = json.loads(state.to_json())
-        payload["outputs"].pop()
+def test_malformed_checkpoint_is_config_invalid(text, key, checkpoint_payload):
+    if text is None or callable(text):
+        payload = json.loads(checkpoint_payload)
+        if text is None:
+            payload["outputs"].pop()
+        else:
+            text(payload)
         text = json.dumps(payload)
     with pytest.raises(ConfigInvalid, match=key):
         DeepoState.from_json(text)
+
+
+def test_direct_state_checkpoint_has_no_map_or_history_to_check(rng):
+    a, b = random_pair(rng, 3, 2)
+    u0, z0, z0_next = direct_data(rng, a, b, steps=60, noise_std=1e-3)
+    state = offline_init_direct(u0, z0, z0_next, DeepoConfig(lag=1), rng_seed=3)
+    clone = DeepoState.from_json(state.to_json())
+    npt.assert_array_equal(clone.gain, state.gain)
+    assert clone.map is None and len(clone.history) == 0
+    payload = json.loads(state.to_json())
+    payload["gain"] = np.zeros((2, 2)).tolist()
+    with pytest.raises(ConfigInvalid, match=re.escape("checkpoint: gain has shape (2, 2), expected (2, 3)")):
+        DeepoState.from_json(json.dumps(payload))
 
 
 def test_control_step_uses_gain_and_probe():

@@ -320,7 +320,7 @@ def test_cli_reports_config_errors(tmp_path, capsys):
 
 
 def test_cli_reports_ill_conditioned_solve(tmp_path, capsys, monkeypatch):
-    def fail(a, w):
+    def fail(*args):
         raise IllConditioned("Lyapunov residual 6.75e-09 exceeds tolerance")
 
     assert issubclass(IllConditioned, DeepoError)

@@ -1,5 +1,7 @@
 """Covariance bookkeeping, the data-driven cost/gradient, and projections."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from conftest import direct_data, random_pair
 from deepo.errors import DimensionMismatch, RankDeficient, Unstable, Unstabilizable
 from deepo.lqr_core import (
+    FEASIBILITY_MARGIN,
     DataCovariances,
     LqrWeights,
     adaptive_stepsize,
@@ -192,6 +195,65 @@ def test_nullspace_projection_properties(batch):
     npt.assert_allclose(pi @ pi, pi, atol=1e-10)
     npt.assert_allclose(cov.z0_bar @ pi, np.zeros((cov.r, cov.m + cov.r)), atol=1e-9)
     assert np.trace(pi) == pytest.approx(cov.m, abs=1e-8)
+
+
+def _loop_covariances(a, b):
+    # Phi = I, so V = [K; I] meets Zbar0 V = I and its closed loop is A + B K.
+    r, m = b.shape
+    return DataCovariances(phi=np.eye(m + r), phi_inv=np.eye(m + r), z1_bar=np.hstack([b, a]), count=10)
+
+
+def test_closed_loop_feasibility_against_eigenvalues(rng):
+    # Every V is either accepted with spectral radius below 1 - margin (the
+    # eigvals oracle) or rejected as Unstable, without a RuntimeWarning.
+    r, m = 3, 1
+    weights = identity_weights(r, m)
+    jordan = np.eye(r, k=1)
+    cases = [(rng.standard_normal((r, r)) * rng.uniform(0.1, 0.8), np.zeros((m, r))) for _ in range(200)]
+    cases += [
+        ((1.0 - 1e-10) * np.eye(r) + jordan, np.zeros((m, r))),  # non-normal, rho = 1 - 1e-10
+        ((1.0 - 1e-10) * np.eye(r) + 1e-6 * jordan, np.zeros((m, r))),
+        (np.diag([1.0 - 5e-10, 0.3, 0.0]), np.zeros((m, r))),
+        (np.diag([1.0 - 2e-9, 0.3, 0.0]), np.zeros((m, r))),  # feasible, close to the margin
+        (np.diag([1.0, 0.5, 0.0]), np.zeros((m, r))),  # rho = 1 exactly
+        (np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.2]]), np.zeros((m, r))),
+        (np.eye(r) + jordan, np.zeros((m, r))),
+        (np.diag([1.01, 0.2, 0.0]), np.zeros((m, r))),  # rho > 1
+        (1.5 * np.eye(r) + jordan, np.zeros((m, r))),
+        (np.diag([0.5, 0.2, 0.1]), 1e200 * np.ones((m, r))),  # gain scaled to 1e200
+    ]
+    b = np.array([[1.0], [0.5], [-0.3]])
+    verdicts = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for a, k in cases:
+            try:
+                cl = closed_loop(_loop_covariances(a, b), np.vstack([k, np.eye(r)]), weights)
+            except Unstable:
+                verdicts.append(False)
+                continue
+            verdicts.append(True)
+            rho = np.max(np.abs(np.linalg.eigvals(cl.a_cl)))
+            assert rho < 1.0 - FEASIBILITY_MARGIN, f"accepted a loop with spectral radius {rho!r}"
+    assert verdicts[-10:] == [False, False, False, True, False, False, False, False, False, False]
+    assert 0 < sum(verdicts[:200]) < 200
+
+
+@pytest.mark.parametrize("recursive", [False, True])
+def test_projector_and_stepsize_match_pseudoinverse_formulas(batch, recursive):
+    # Also after 60 Sherman-Morrison updates of phi_inv.
+    _, _, cov, (u, z, z_next) = batch
+    if recursive:
+        cov = cov_init(u[:, :60], z[:, :60], z_next[:, :60])
+        for t in range(60, u.shape[1]):
+            cov = cov_update(cov, u[:, t], z[:, t], z_next[:, t])
+    reference = np.eye(cov.m + cov.r) - np.linalg.pinv(cov.z0_bar) @ cov.z0_bar
+    pi = nullspace_projection(cov)
+    assert np.linalg.norm(pi - reference) <= 1e-10 * np.linalg.norm(reference)
+    denom = np.linalg.norm(cov.u_bar @ reference @ cov.u_bar.T, ord=2)
+    eta, capped = adaptive_stepsize(cov, 1e-3)
+    assert not capped
+    assert eta == pytest.approx(1e-3 / denom, rel=1e-10)
 
 
 def test_projected_step_preserves_constraint(batch, rng):

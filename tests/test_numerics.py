@@ -1,5 +1,7 @@
 """Linear-algebra kernels against closed forms and series oracles."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -158,3 +160,14 @@ def test_riccati_unstabilizable_pair_raises():
     b = np.array([[0.0], [1.0]])
     with pytest.raises(NoConvergence):
         riccati_gain(a, b, np.eye(2), np.eye(1), max_iter=500)
+
+
+def test_riccati_divergence_is_reported_without_warnings():
+    # The unreachable 1.5 mode makes ||P|| overflow within 500 sweeps; the
+    # iteration must say so instead of reading inf <= inf as convergence.
+    a = np.diag([1.5, 0.5])
+    b = np.array([[0.0], [1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NoConvergence, match="diverged"):
+            riccati_gain(a, b, np.eye(2), np.eye(1), max_iter=500)
