@@ -51,6 +51,7 @@ from .lqr_core import (
     ClosedLoop,
     DataCovariances,
     LqrWeights,
+    Nullspace,
     adaptive_stepsize,
     closed_loop,
     cov_init,
@@ -84,6 +85,7 @@ __all__ = [
     "IoHistory",
     "LagTooSmall",
     "LqrWeights",
+    "Nullspace",
     "NoConvergence",
     "NonFinite",
     "NotStable",

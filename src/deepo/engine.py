@@ -19,7 +19,7 @@ from .errors import ConfigInvalid, InsufficientHistory, NonFinite, Unstable
 from .lqr_core import (
     DataCovariances,
     LqrWeights,
-    adaptive_stepsize,
+    Nullspace,
     closed_loop,
     cov_init,
     cov_update,
@@ -27,7 +27,6 @@ from .lqr_core import (
     gradient,
     identity_weights,
     initial_policy,
-    nullspace_projection,
     parameterize,
     rank_one_reparameterize,
     recover_gain,
@@ -352,8 +351,8 @@ def _policy_step(state: DeepoState, prev_cov: DataCovariances, u_t, z_t):
     if cov.ill_conditioned:
         state.warn(f"data covariance poorly conditioned at t={state.t}")
     v = _reparameterize(state, prev_cov, u_t, z_t)
-    pi = nullspace_projection(cov)
-    eta_base, capped = adaptive_stepsize(cov, cfg.eta0)
+    nullspace = Nullspace.of(cov)
+    eta_base, capped = nullspace.stepsize(cfg.eta0)
     if capped:
         state.warn(f"excitation level vanished at t={state.t}; stepsize capped")
     eta_used = grad_norm = None
@@ -364,7 +363,7 @@ def _policy_step(state: DeepoState, prev_cov: DataCovariances, u_t, z_t):
         cost = float("inf")
     else:
         for _ in range(cfg.gradient_steps_per_sample):
-            pg = pi @ gradient(cov, cl, state.weights)
+            pg = nullspace.project(gradient(cov, cl, state.weights))
             if grad_norm is None:
                 grad_norm = float(np.linalg.norm(pg))
             eta = eta_base

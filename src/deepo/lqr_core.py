@@ -11,10 +11,10 @@ covariance itself: the solve rejects V once that covariance grows past the
 bound that keeps the spectral radius below ``1 - FEASIBILITY_MARGIN``.  The
 :class:`ClosedLoop` it returns carries the covariance that both the cost and
 the gradient are read from.  The projector and the stepsize come from the
-first m columns of the Sherman-Morrison inverse ``phi_inv``, so the
-per-sample routines here need no general eigenvalues, pseudo-inverse or
-SVD; the one spectral quantity left is the smallest eigenvalue of an m x m
-symmetric matrix.
+first m columns N of the Sherman-Morrison inverse ``phi_inv`` and the
+m x m Gram matrix N'N (:class:`Nullspace`), so the per-sample routines
+here need no general eigenvalues, pseudo-inverse or SVD; the one spectral
+quantity left is the smallest eigenvalue of N'N.
 """
 
 from __future__ import annotations
@@ -280,40 +280,66 @@ def gradient(cov: DataCovariances, cl: ClosedLoop, weights: LqrWeights) -> np.nd
     return 2.0 * (cov.u_bar.T @ ru + cov.z1_bar.T @ p @ cov.z1_bar) @ cl.v @ cl.sigma
 
 
-def _nullspace_basis(cov: DataCovariances):
-    """``N = Phi^{-1}[:, :m]`` and ``N'N``: Phi N = [I; 0], so Ubar N = I and
-    the m columns of N span the nullspace of Zbar0."""
-    n = cov.phi_inv[:, : cov.m]
-    return n, n.T @ n
+@dataclass(frozen=True)
+class Nullspace:
+    """Basis ``N = Phi^{-1}[:, :m]`` of the nullspace of Zbar0, its Gram
+    matrix ``N'N`` and its pseudo-inverse ``N+ = (N'N)^{-1} N'``.
+
+    Phi N = [I; 0], so Ubar N = I and the m columns of N span the nullspace
+    of Zbar0.  The projector and the stepsize both read ``N'N``, so an
+    update builds one of these per sample and shares it.
+    """
+
+    n: np.ndarray
+    gram: np.ndarray
+    n_plus: np.ndarray
+
+    @classmethod
+    def of(cls, cov: DataCovariances) -> "Nullspace":
+        n = cov.phi_inv[:, : cov.m]
+        gram = n.T @ n
+        return cls(n=n, gram=gram, n_plus=np.linalg.solve(gram, n.T))
+
+    def project(self, g: np.ndarray) -> np.ndarray:
+        """Orthogonal projection of ``g`` onto the nullspace of Zbar0.
+
+        Applies ``Pi = N N+`` in factored form, ``N (N+ g)``: two thin
+        products, without forming the (m + r) x (m + r) projector.  Gradient
+        steps projected this way preserve the constraint Zbar0 V = I.
+        """
+        return self.n @ (self.n_plus @ g)
+
+    def stepsize(self, eta0: float):
+        """Stepsize scaled by the excitation level of the data.
+
+        Returns ``(eta0 / ||Ubar Pi Ubar'||, capped)`` where the norm is
+        spectral and Pi is the projector :meth:`project` applies.  The
+        denominator measures the input energy not explained
+        by the state — effectively the probing power — so steps grow when
+        probing is faint.  With Ubar N = I it equals ``||(N'N)^{-1}|| =
+        1 / lambda_min(N'N)``, read from one m x m ``eigvalsh``.  A
+        denominator below 1e-12 is capped (``capped = True``).
+        """
+        lam_min = np.linalg.eigvalsh(self.gram)[0]
+        if not lam_min < 1e12:
+            return eta0 / 1e-12, True
+        return eta0 * lam_min, False
 
 
 def nullspace_projection(cov: DataCovariances) -> np.ndarray:
-    """Orthogonal projector onto the nullspace of Zbar0.
+    """Orthogonal projector onto the nullspace of Zbar0, as a matrix.
 
-    Gradient steps multiplied by this projector preserve the constraint
-    Zbar0 V = I.  Computed as ``N (N'N)^{-1} N'`` from the first m columns
-    N of the Sherman-Morrison inverse ``phi_inv`` (one m x m solve).  The
-    projector has trace m.
+    :meth:`Nullspace.project` applied to the identity and symmetrized; the
+    update applies the projector in factored form instead.  The projector
+    has trace m.
     """
-    n, ntn = _nullspace_basis(cov)
-    pi = n @ np.linalg.solve(ntn, n.T)
+    pi = Nullspace.of(cov).project(np.eye(cov.m + cov.r))
     return 0.5 * (pi + pi.T)
 
 
 def adaptive_stepsize(cov: DataCovariances, eta0: float):
-    """Stepsize scaled by the excitation level of the data.
-
-    Returns ``(eta0 / ||Ubar Pi Ubar'||, capped)`` where the norm is
-    spectral and Pi is the :func:`nullspace_projection`.  The denominator
-    measures the input energy not explained by the state — effectively the
-    probing power — so steps grow when probing is faint.  With Ubar N = I it
-    equals ``||(N'N)^{-1}|| = 1 / lambda_min(N'N)``, read from one m x m
-    ``eigvalsh``.  A denominator below 1e-12 is capped (``capped = True``).
-    """
-    lam_min = np.linalg.eigvalsh(_nullspace_basis(cov)[1])[0]
-    if not lam_min < 1e12:
-        return eta0 / 1e-12, True
-    return eta0 * lam_min, False
+    """:meth:`Nullspace.stepsize` of the covariances ``cov``."""
+    return Nullspace.of(cov).stepsize(eta0)
 
 
 def initial_policy(cov: DataCovariances, weights: LqrWeights) -> np.ndarray:

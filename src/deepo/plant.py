@@ -4,9 +4,10 @@ The :class:`PlantModel` simulates the hidden discrete-time truth
 ``x+ = A x + B u + d``, ``y = C x + v`` with seeded Gaussian noise.  The
 remaining functions build the structured matrices (observability /
 controllability / impulse-response stacks, the companion realization of the
-input-output window, exact LQR gains and costs) that tests and acceptance
-checks compare the data-driven path against.  The online controller never
-receives any of these matrices — it only sees inputs and outputs.
+input-output window, exact LQR gains by value iteration, and costs) that
+tests and acceptance checks compare the data-driven path against.  The
+online controller never receives any of these matrices — it only sees
+inputs and outputs.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateData, LagTooSmall, NonFinite
-from .numerics import numerical_rank, riccati_gain, solve_dlyap
+from .errors import LagTooSmall, NoConvergence, NonFinite
+from .numerics import numerical_rank, solve_dlyap, spectral_radius
 
 SURROGATE_SAMPLING_HZ = 200.0
+
+# Sweep cap of the value-iteration oracle in :func:`model_lqr_gain`.
+_ORACLE_MAX_SWEEPS = 100_000
 
 
 def _as_matrix(m, name):
@@ -298,8 +302,42 @@ def build_nonminimal_oracle(model: PlantModel, lag: int) -> OracleRealization:
 
 
 def model_lqr_gain(a_z, b_z, q, r) -> np.ndarray:
-    """Optimal gain for u = K z on known dynamics (z+ = A z + B u)."""
-    return riccati_gain(a_z, b_z, q, r)
+    """Optimal gain for u = K z on known dynamics (z+ = A z + B u).
+
+    The model-based oracle for :func:`deepo.numerics.riccati_gain`, computed
+    by a different method: Riccati value iteration
+    ``P <- Q + A^T P A - A^T P B (R + B^T P B)^{-1} B^T P A`` from P = Q,
+    one sweep at a time, until successive iterates agree to 1e-12 relative
+    (Frobenius norm); then ``K = -(R + B^T P B)^{-1} B^T P A``.  Slow near
+    the unit circle (a closed loop at spectral radius rho needs about
+    log(1e-12) / log(rho^2) sweeps), which an oracle can afford.
+
+    Raises:
+        NoConvergence: if the iterates have not converged after 100 000
+            sweeps, diverge, or give a closed loop that is not stable.
+    """
+    a = np.asarray(a_z, dtype=float)
+    b = np.asarray(b_z, dtype=float)
+    q = np.asarray(q, dtype=float)
+    r = np.asarray(r, dtype=float)
+    p = 0.5 * (q + q.T)
+    for sweep in range(1, _ORACLE_MAX_SWEEPS + 1):
+        k = -np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
+        p_next = q + a.T @ p @ a + a.T @ p @ b @ k
+        p_next = 0.5 * (p_next + p_next.T)
+        # Frobenius norms as sqrt(vdot), the bits np.linalg.norm computes:
+        # an overflowing sum reads inf instead of warning.
+        d = p_next - p
+        size = np.sqrt(np.vdot(p_next, p_next))
+        if not np.isfinite(size):
+            raise NoConvergence(f"Riccati iterates diverged after {sweep} sweeps")
+        p = p_next
+        if np.sqrt(np.vdot(d, d)) <= 1e-12 * max(1.0, size):
+            k = -np.linalg.solve(r + b.T @ p @ b, b.T @ p @ a)
+            if spectral_radius(a + b @ k) >= 1.0:
+                raise NoConvergence("Riccati iteration converged to a non-stabilizing gain")
+            return k
+    raise NoConvergence(f"Riccati iteration did not converge in {_ORACLE_MAX_SWEEPS} sweeps")
 
 
 def lqr_cost(a_z, b_z, k, q, r) -> float:
@@ -315,24 +353,6 @@ def lqr_cost(a_z, b_z, k, q, r) -> float:
     a_cl = a_z + b_z @ k
     sigma = solve_dlyap(a_cl, np.eye(a_z.shape[0]))
     return float(np.trace((q + k.T @ r @ k) @ sigma))
-
-
-def fit_linear_dynamics(u_data, z_data, z_next):
-    """Least-squares estimate of (A_z, B_z) from (u, z, z+) samples.
-
-    Test-side oracle only: solves ``z+ = [B A] [u; z]`` in the least-squares
-    sense and returns (a_z, b_z).  Raises DegenerateData when [u; z] is not
-    full row rank.
-    """
-    u_data = np.atleast_2d(np.asarray(u_data, dtype=float))
-    z_data = np.atleast_2d(np.asarray(z_data, dtype=float))
-    z_next = np.atleast_2d(np.asarray(z_next, dtype=float))
-    m = u_data.shape[0]
-    d0 = np.vstack([u_data, z_data])
-    if numerical_rank(d0) < d0.shape[0]:
-        raise DegenerateData("regressor matrix [u; z] is not full row rank")
-    ba = z_next @ np.linalg.pinv(d0)
-    return ba[:, m:], ba[:, :m]
 
 
 def _rotation_block(modulus: float, freq_hz: float, sampling_hz: float) -> np.ndarray:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from deepo.errors import DegenerateData
+from deepo.numerics import numerical_rank
 from deepo.plant import PlantModel
 
 
@@ -42,6 +44,23 @@ def direct_data(rng, a, b, steps, amplitude=1.0, noise_std=0.0):
         w = rng.standard_normal(r) * noise_std
         z[:, t + 1] = a @ z[:, t] + b @ u[:, t] + w
     return u, z[:, :-1], z[:, 1:]
+
+
+def fit_linear_dynamics(u_data, z_data, z_next):
+    """Least-squares estimate of (A_z, B_z) from (u, z, z+) samples.
+
+    Solves ``z+ = [B A] [u; z]`` in the least-squares sense and returns
+    (a_z, b_z).  Raises DegenerateData when [u; z] is not full row rank.
+    """
+    u_data = np.atleast_2d(np.asarray(u_data, dtype=float))
+    z_data = np.atleast_2d(np.asarray(z_data, dtype=float))
+    z_next = np.atleast_2d(np.asarray(z_next, dtype=float))
+    m = u_data.shape[0]
+    d0 = np.vstack([u_data, z_data])
+    if numerical_rank(d0) < d0.shape[0]:
+        raise DegenerateData("regressor matrix [u; z] is not full row rank")
+    ba = z_next @ np.linalg.pinv(d0)
+    return ba[:, m:], ba[:, :m]
 
 
 def drive(model, inputs):

@@ -10,7 +10,7 @@ import pytest
 
 import deepo.engine
 import deepo.lqr_core
-from conftest import direct_data, random_minimal, random_pair
+from conftest import direct_data, fit_linear_dynamics, random_minimal, random_pair
 from deepo.engine import (
     DeepoConfig,
     DeepoState,
@@ -24,7 +24,6 @@ from deepo.errors import ConfigInvalid, InsufficientHistory, NonFinite
 from deepo.lqr_core import adaptive_stepsize, data_cost, parameterize
 from deepo.plant import (
     PlantModel,
-    fit_linear_dynamics,
     lqr_cost,
     model_lqr_gain,
     make_surrogate_converter,

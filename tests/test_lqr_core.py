@@ -12,6 +12,7 @@ from deepo.lqr_core import (
     FEASIBILITY_MARGIN,
     DataCovariances,
     LqrWeights,
+    Nullspace,
     adaptive_stepsize,
     closed_loop,
     cov_init,
@@ -195,6 +196,9 @@ def test_nullspace_projection_properties(batch):
     npt.assert_allclose(pi @ pi, pi, atol=1e-10)
     npt.assert_allclose(cov.z0_bar @ pi, np.zeros((cov.r, cov.m + cov.r)), atol=1e-9)
     assert np.trace(pi) == pytest.approx(cov.m, abs=1e-8)
+    # The update applies the same projector in factored form.
+    g = np.random.default_rng(5).standard_normal((cov.m + cov.r, cov.r))
+    npt.assert_allclose(Nullspace.of(cov).project(g), pi @ g, rtol=0, atol=1e-12 * np.linalg.norm(g))
 
 
 def _loop_covariances(a, b):

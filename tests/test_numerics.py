@@ -6,6 +6,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import random_pair
+from deepo import harness
+from deepo.engine import DeepoState, offline_init, run_online
 from deepo.errors import NoConvergence, NotStable, NotSymmetric
 from deepo.numerics import (
     numerical_rank,
@@ -13,6 +16,7 @@ from deepo.numerics import (
     solve_dlyap,
     spectral_radius,
 )
+from deepo.plant import model_lqr_gain
 
 
 def stable_matrix(rng, n, rho):
@@ -171,3 +175,68 @@ def test_riccati_divergence_is_reported_without_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NoConvergence, match="diverged"):
             riccati_gain(a, b, np.eye(2), np.eye(1), max_iter=500)
+
+
+def test_riccati_doubling_matches_value_iteration_oracle(rng):
+    # The value-iteration oracle behind model_lqr_gain reaches the same
+    # fixed point sweep by sweep.  Open-loop modes up to |lambda| = 1.2, and
+    # weakly actuated pairs whose optimal closed loop stays slow.
+    slowest = 0.0
+    for trial in range(40):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(1, 3))
+        if trial < 30:
+            a, b = random_pair(rng, n, m, rho=rng.uniform(0.5, 1.2))
+        else:
+            a, b = random_pair(rng, n, m, rho=0.985)
+            b = 0.02 * b
+        q, r = np.eye(n), np.eye(m)
+        k = riccati_gain(a, b, q, r)
+        k_oracle = model_lqr_gain(a, b, q, r)
+        assert np.linalg.norm(k - k_oracle) <= 1e-9 * np.linalg.norm(k_oracle)
+        if trial >= 30:
+            slowest = max(slowest, spectral_radius(a + b @ k))
+    assert 0.975 <= slowest < 0.985
+
+
+def _converter_certainty_equivalence_problem():
+    # The pair and weights that activation hands to riccati_gain on the
+    # bundled converter scenario (seed 7).
+    config = harness.load_scenario("converter")
+    splant = harness._build_plant(config)
+    state = DeepoState.fresh(config.deepo, splant.plant.m, harness._engine_seed(config))
+    # Stop just before activation, then fit the excitation window as it would.
+    run_online(
+        state,
+        splant,
+        steps=config.activation_step,
+        activation_step=config.activation_step,
+        excitation_start=config.excitation_start,
+    )
+    window = state.history.window(config.excitation_start, config.activation_step)
+    fitted = offline_init(window, config.deepo)
+    cov = fitted.cov
+    ba = np.linalg.solve(cov.phi, cov.z1_bar.T).T
+    return ba[:, cov.m :], ba[:, : cov.m], fitted.weights, fitted.initial_gain
+
+
+def test_riccati_doubling_step_budget():
+    # Value iteration needs over 500 sweeps on the converter's estimated
+    # closed loop (spectral radius about 0.977); doubling needs 11 steps.
+    a, b, weights, initial_gain = _converter_certainty_equivalence_problem()
+    k = riccati_gain(a, b, weights.q, weights.r, max_iter=20)
+    npt.assert_array_equal(k, initial_gain)
+    assert 0.97 < spectral_radius(a + b @ k) < 0.98
+    # The unreachable 1.5 mode is reported as divergence within the same
+    # budget, and without an overflow warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NoConvergence, match="diverged"):
+            riccati_gain(np.diag([1.5, 0.5]), np.array([[0.0], [1.0]]), np.eye(2), np.eye(1), max_iter=20)
+
+
+def test_riccati_cheap_control_limit_is_no_convergence():
+    # B R^-1 B' Q = 1e16 [[1, 1], [1, 1]]: I + GH rounds to a singular
+    # matrix, which doubling reports as NoConvergence, not a numpy error.
+    b = np.array([[1e8], [1e8]])
+    with pytest.raises(NoConvergence, match="singular"):
+        riccati_gain(np.diag([0.5, 0.3]), b, np.eye(2), np.eye(1))

@@ -1,11 +1,13 @@
 """Truth-model simulator and the model-based oracle constructions."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import drive, random_minimal
-from deepo.errors import DegenerateData, LagTooSmall, NonFinite
+from conftest import drive, fit_linear_dynamics, random_minimal
+from deepo.errors import DegenerateData, LagTooSmall, NoConvergence, NonFinite
 from deepo.numerics import spectral_radius
 from deepo.plant import (
     PlantModel,
@@ -16,7 +18,6 @@ from deepo.plant import (
     build_nonminimal_oracle,
     build_observability,
     build_toeplitz,
-    fit_linear_dynamics,
     lqr_cost,
     make_surrogate_converter,
     model_lqr_gain,
@@ -220,6 +221,15 @@ def test_model_lqr_gain_is_optimal_among_perturbations(rng):
         other = k + 0.05 * rng.standard_normal(k.shape)
         if spectral_radius(a + b @ other) < 1.0:
             assert base <= lqr_cost(a, b, other, q, r) + 1e-9
+
+
+def test_model_lqr_gain_reports_divergence_without_warnings():
+    # The value-iteration oracle on an unreachable 1.5 mode: ||P|| overflows
+    # within a thousand sweeps and is reported, not read as convergence.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NoConvergence, match="diverged"):
+            model_lqr_gain(np.diag([1.5, 0.5]), np.array([[0.0], [1.0]]), np.eye(2), np.eye(1))
 
 
 def test_fit_linear_dynamics_recovers_truth(rng):
