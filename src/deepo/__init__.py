@@ -52,7 +52,6 @@ from .lqr_core import (
     DataCovariances,
     LqrWeights,
     Nullspace,
-    adaptive_stepsize,
     closed_loop,
     cov_init,
     cov_update,
@@ -60,9 +59,7 @@ from .lqr_core import (
     gradient,
     identity_weights,
     initial_policy,
-    nullspace_projection,
     parameterize,
-    rank_one_reparameterize,
     recover_gain,
 )
 from .plant import PlantModel, SwitchEvent, SwitchSchedule, SwitchingPlant, make_surrogate_converter
@@ -101,7 +98,6 @@ __all__ = [
     "SwitchingPlant",
     "Unstable",
     "Unstabilizable",
-    "adaptive_stepsize",
     "closed_loop",
     "control_step",
     "cov_init",
@@ -113,12 +109,10 @@ __all__ = [
     "initial_policy",
     "load_scenario",
     "make_surrogate_converter",
-    "nullspace_projection",
     "offline_init",
     "offline_init_direct",
     "parameterize",
     "parse_scenario",
-    "rank_one_reparameterize",
     "recover_gain",
     "reduce_svd",
     "run_adaptation_scenario",

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import harness
-from .engine import DeepoConfig, ingest_and_update, offline_init_direct
+from .engine import DeepoConfig, _decision_matrix, ingest_and_update, offline_init_direct
 from .lqr_core import (
     closed_loop,
     cov_init,
@@ -25,7 +25,6 @@ from .lqr_core import (
     identity_weights,
     initial_policy,
     parameterize,
-    rank_one_reparameterize,
 )
 from .numerics import numerical_rank, spectral_radius
 from .plant import (
@@ -245,7 +244,7 @@ def _crit_convergence(seed: int):
 
 
 def _crit_recursion(seed: int):
-    """Rank-one decision-matrix and inverse updates track batch recomputation."""
+    """The recursive inverse and the decision matrix read off it track batch recomputation."""
     rng = _rng_for(seed, 6)
     m, r = 2, 6
     a, b = _random_pair(rng, r, m, rho=0.85)
@@ -260,15 +259,13 @@ def _crit_recursion(seed: int):
     for _ in range(1000):
         u = state.gain @ x + config.probe_std * state.rng.standard_normal(m)
         x_next = a @ x + b @ u + 0.1 * rng.standard_normal(r)
-        prev_cov, v_prev, k_prev = state.cov, state.v_prime, state.gain
-        v_rec = rank_one_reparameterize(prev_cov, v_prev, u, x)
         ingest_and_update(state, u, x, x_next)
         cols.append(np.concatenate([u, x]))
         d_mat = np.array(cols).T
         phi_batch = d_mat @ d_mat.T / d_mat.shape[1]
         inv_gap = float(np.max(np.abs(state.cov.phi_inv - np.linalg.inv(phi_batch))))
-        v_batch = np.linalg.solve(phi_batch, np.vstack([k_prev, np.eye(r)]))
-        v_gap = float(np.max(np.abs(v_rec - v_batch)))
+        v_batch = np.linalg.solve(phi_batch, np.vstack([state.gain, np.eye(r)]))
+        v_gap = float(np.max(np.abs(_decision_matrix(state) - v_batch)))
         worst_inv = max(worst_inv, inv_gap)
         worst_v = max(worst_v, v_gap)
         x = x_next

@@ -1,17 +1,17 @@
 """Online adaptive LQR engine.
 
 Wires the pieces together into the per-sample loop: control with probing
-noise, fold the new sample into the data covariances, re-parameterize the
-current gain under the updated data, take projected gradient steps with
-feasibility backtracking, and read off the next gain.  The engine sees the
-plant only through ``step(u) -> y``.
+noise, fold the new sample into the data covariances, read the current
+gain's decision matrix off the updated inverse covariance, take projected
+gradient steps with feasibility backtracking, and read off the next gain.
+The engine sees the plant only through ``step(u) -> y``.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from .lqr_core import (
     gradient,
     identity_weights,
     initial_policy,
-    parameterize,
-    rank_one_reparameterize,
     recover_gain,
 )
 from .realization import (
@@ -42,8 +40,8 @@ from .realization import (
 
 _BACKTRACK_LIMIT = 10
 
-# Re-solve the parameterization outright when the constraint residual of the
-# rank-one recursion drifts past this.
+# Re-invert Phi outright when the constraint residual of the decision matrix
+# read off the Sherman-Morrison inverse drifts past this (times sqrt(r)).
 _CONSTRAINT_REFRESH = 1e-7
 
 
@@ -131,14 +129,10 @@ class DeepoState:
     weights: LqrWeights | None = None
     gain: np.ndarray | None = None
     initial_gain: np.ndarray | None = None
-    v_prime: np.ndarray | None = None
     t: int = 0
     rng: np.random.Generator = field(default_factory=np.random.default_rng)
     warnings: list[str] = field(default_factory=list)
     records: list[StepRecord] = field(default_factory=list)
-    # Sample count the parameterization was last synced against; the rank-one
-    # recursion is only valid when this matches the pre-update covariances.
-    v_synced_count: int = -1
 
     @classmethod
     def fresh(cls, config: DeepoConfig, m: int, rng_seed=0) -> "DeepoState":
@@ -165,8 +159,6 @@ class DeepoState:
             "weights": {"q": self.weights.q.tolist(), "r": self.weights.r.tolist()},
             "gain": self.gain.tolist(),
             "initial_gain": None if self.initial_gain is None else self.initial_gain.tolist(),
-            "v_prime": self.v_prime.tolist(),
-            "v_synced_count": self.v_synced_count,
             "inputs": self.history.u.tolist(),
             "outputs": self.history.y.tolist(),
             "warnings": list(self.warnings),
@@ -180,7 +172,8 @@ class DeepoState:
 
         Raises ConfigInvalid, naming the missing key or the array whose
         shape does not fit the others where there is one, when the text is
-        not such a snapshot.
+        not such a snapshot.  Top-level keys it does not read, such as the
+        ``v_prime`` and ``v_synced_count`` of older snapshots, are ignored.
         """
         try:
             payload = json.loads(text)
@@ -202,10 +195,8 @@ class DeepoState:
                     if payload.get("initial_gain") is None
                     else np.array(payload["initial_gain"], dtype=float)
                 ),
-                v_prime=np.array(payload["v_prime"], dtype=float),
                 t=int(payload["t"]),
                 warnings=list(payload["warnings"]),
-                v_synced_count=int(payload["v_synced_count"]),
             )
             state.rng = np.random.default_rng()
             state.rng.bit_generator.state = payload["rng_state"]
@@ -228,7 +219,6 @@ class DeepoState:
             ("weights.r", self.weights.r, (m, m)),
             ("gain", self.gain, (m, r)),
             ("initial_gain", self.initial_gain, (m, r)),
-            ("v_prime", self.v_prime, (m + r, r)),
         ]
         if self.map is not None:
             # States from offline_init_direct keep neither a map nor a history;
@@ -252,17 +242,14 @@ def _install_policy(state: DeepoState, cov: DataCovariances, weights: LqrWeights
     state.weights = weights
     state.gain = gain
     state.initial_gain = gain.copy()
-    state.v_prime = parameterize(cov, gain)
-    state.v_synced_count = cov.count
 
 
 def offline_init(history: IoHistory, config: DeepoConfig, rng_seed=0) -> DeepoState:
     """Initialize the engine from a batch of excitation data.
 
     Builds the window matrix, fits the reduction map, forms the data
-    covariances, and sets the certainty-equivalence initial gain with its
-    parameterization.  The history must provide at least
-    ``2 (m + p) lag`` windows.
+    covariances, and sets the certainty-equivalence initial gain.  The
+    history must provide at least ``2 (m + p) lag`` windows.
     """
     lag = config.lag
     m, p = history.m, history.p
@@ -322,35 +309,47 @@ def control_step(state: DeepoState, z) -> np.ndarray:
     return u
 
 
-def _reparameterize(state: DeepoState, prev_cov: DataCovariances, u_t, z_t) -> np.ndarray:
-    """Decision matrix reproducing the held gain under the updated data.
+def _decision_matrix(state: DeepoState) -> np.ndarray:
+    """Decision matrix of the held gain under the current covariances.
 
-    Uses the rank-one recursion from the previous projected decision matrix
-    when it is in sync; falls back to a full solve otherwise or when the
-    constraint residual has drifted.
+    ``V = Phi^{-1} [K; I]``, read off the Sherman-Morrison inverse in one
+    product, so Ubar V = K and Zbar0 V = I up to the inverse's accuracy.
+    """
+    phi_inv = state.cov.phi_inv
+    return phi_inv[:, : state.m] @ state.gain + phi_inv[:, state.m :]
+
+
+def _checked_decision_matrix(state: DeepoState) -> np.ndarray:
+    """:func:`_decision_matrix`, repairing the inverse when the constraint drifts.
+
+    Rounding accumulates in the recursive ``phi_inv``.  When ``Zbar0 V``
+    strays from I past the refresh bound, ``phi_inv`` is replaced by a fresh
+    inverse of ``phi`` (with a warning) and V is read again, so everything
+    that reads the inverse afterwards reads the repaired one.
     """
     cov = state.cov
-    if state.v_prime is not None and state.v_synced_count == prev_cov.count:
-        v = rank_one_reparameterize(prev_cov, state.v_prime, u_t, z_t)
-        drift = np.linalg.norm(cov.z0_bar @ v - np.eye(cov.r))
-        if drift <= _CONSTRAINT_REFRESH * np.sqrt(cov.r):
-            return v
-        state.warn(f"constraint drift {drift:.3g} at t={state.t}; re-solving")
-    return parameterize(cov, state.gain)
+    v = _decision_matrix(state)
+    drift = np.linalg.norm(cov.z0_bar @ v - np.eye(cov.r))
+    if drift <= _CONSTRAINT_REFRESH * np.sqrt(cov.r):
+        return v
+    state.warn(f"constraint drift {drift:.3g} at t={state.t}; re-solving")
+    phi_inv = np.linalg.inv(cov.phi)
+    state.cov = replace(cov, phi_inv=0.5 * (phi_inv + phi_inv.T))
+    return _decision_matrix(state)
 
 
-def _policy_step(state: DeepoState, prev_cov: DataCovariances, u_t, z_t):
+def _policy_step(state: DeepoState):
     """Advance the policy under the just-updated covariances.
 
-    Re-parameterizes the current gain, takes the configured number of
-    projected gradient steps, and stores the new gain and decision matrix.
-    Returns ``(cost, eta, grad_norm)`` for the step record.
+    Reads the current gain's decision matrix, takes the configured number
+    of projected gradient steps, and stores the new gain.  Returns
+    ``(cost, eta, grad_norm)`` for the step record.
     """
     cfg = state.config
-    cov = state.cov
-    if cov.ill_conditioned:
+    if state.cov.ill_conditioned:
         state.warn(f"data covariance poorly conditioned at t={state.t}")
-    v = _reparameterize(state, prev_cov, u_t, z_t)
+    v = _checked_decision_matrix(state)
+    cov = state.cov
     nullspace = Nullspace.of(cov)
     eta_base, capped = nullspace.stepsize(cfg.eta0)
     if capped:
@@ -379,8 +378,6 @@ def _policy_step(state: DeepoState, prev_cov: DataCovariances, u_t, z_t):
             if eta_used is None:
                 eta_used = eta
         v, cost = cl.v, cl.cost
-    state.v_prime = v
-    state.v_synced_count = cov.count
     state.gain = recover_gain(cov, v)
     return cost, eta_used, grad_norm
 
@@ -388,22 +385,22 @@ def _policy_step(state: DeepoState, prev_cov: DataCovariances, u_t, z_t):
 def ingest_and_update(state: DeepoState, u_t, z_t, z_next, update: bool = True) -> StepRecord:
     """Fold one sample into the engine and, when ``update``, advance the policy.
 
-    Updates the covariances, then either re-parameterizes the current gain
-    under the new data, takes the configured number of projected gradient
-    steps (halving the stepsize up to ten times if a step leaves the
-    feasible set; the gain is held with a warning when even that fails) and
-    reads off the next gain; or, with ``update=False``, holds the gain and
-    records its data cost under the new covariances.  Appends and returns
-    the step record.
+    Updates the covariances and reads the current gain's decision matrix off
+    the updated inverse (re-inverting Phi with a warning when the constraint
+    Zbar0 V = I has drifted).  Then it either takes the configured number of
+    projected gradient steps (halving the stepsize up to ten times if a step
+    leaves the feasible set; the gain is held with a warning when even that
+    fails) and reads off the next gain; or, with ``update=False``, holds the
+    gain and records its data cost under the new covariances.  Appends and
+    returns the step record.
     """
     if not state.initialized:
         raise ValueError("engine is not initialized")
-    prev_cov = state.cov
     state.cov = cov_update(state.cov, u_t, z_t, z_next)
     if update:
-        cost, eta, grad_norm = _policy_step(state, prev_cov, u_t, z_t)
+        cost, eta, grad_norm = _policy_step(state)
     else:
-        cost = data_cost(state.cov, parameterize(state.cov, state.gain), state.weights)
+        cost = data_cost(state.cov, _checked_decision_matrix(state), state.weights)
         eta = grad_norm = None
     record = StepRecord(
         t=state.t,

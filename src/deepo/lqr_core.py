@@ -10,11 +10,13 @@ feasibility, and the test is the Lyapunov solve for the closed-loop state
 covariance itself: the solve rejects V once that covariance grows past the
 bound that keeps the spectral radius below ``1 - FEASIBILITY_MARGIN``.  The
 :class:`ClosedLoop` it returns carries the covariance that both the cost and
-the gradient are read from.  The projector and the stepsize come from the
-first m columns N of the Sherman-Morrison inverse ``phi_inv`` and the
-m x m Gram matrix N'N (:class:`Nullspace`), so the per-sample routines
-here need no general eigenvalues, pseudo-inverse or SVD; the one spectral
-quantity left is the smallest eigenvalue of N'N.
+the gradient are read from.  The Sherman-Morrison inverse ``phi_inv``
+serves the rest: the decision matrix of a gain K is ``phi_inv [K; I]``
+(:func:`parameterize` is the LU-solve reference for it), and the projector
+and the stepsize come from its first m columns N and the m x m Gram matrix
+N'N (:class:`Nullspace`), so the per-sample routines here need no general
+eigenvalues, pseudo-inverse or SVD; the one spectral quantity left is the
+smallest eigenvalue of N'N.
 """
 
 from __future__ import annotations
@@ -166,31 +168,12 @@ def cov_update(cov: DataCovariances, u_t, z_t, z_next) -> DataCovariances:
     )
 
 
-def rank_one_reparameterize(prev_cov: DataCovariances, v_prime, u_t, z_t) -> np.ndarray:
-    """Carry a decision matrix across one covariance update in O((m+r)^2 r).
-
-    Given ``v_prime`` satisfying ``prev_cov.phi @ v_prime = [K; I]`` for the
-    current gain, returns the decision matrix encoding the same gain under
-    the covariances updated with the sample (u_t, z_t).  Algebraically equal
-    to re-solving ``Phi_new V = [K; I]`` but needs only the rank-one
-    correction.
-    """
-    v_prime = np.asarray(v_prime, dtype=float)
-    phi_vec = np.concatenate(
-        [np.asarray(u_t, dtype=float).reshape(-1), np.asarray(z_t, dtype=float).reshape(-1)]
-    )
-    if phi_vec.shape[0] != prev_cov.m + prev_cov.r:
-        raise DimensionMismatch("sample does not match the covariance dimensions")
-    t = prev_cov.count
-    w = prev_cov.phi_inv @ phi_vec
-    denom = t + phi_vec @ w
-    return ((t + 1.0) / t) * (v_prime - np.outer(w, phi_vec @ v_prime) / denom)
-
-
 def parameterize(cov: DataCovariances, k) -> np.ndarray:
     """Decision matrix reproducing the gain ``k``: solves Phi V = [K; I].
 
     The result satisfies Zbar0 V = I and Ubar V = K up to solver accuracy.
+    An LU solve of Phi itself, independent of the recursive ``phi_inv`` the
+    engine reads V from, so it serves as the reference for that product.
     """
     k = np.asarray(k, dtype=float)
     if k.shape != (cov.m, cov.r):
@@ -324,22 +307,6 @@ class Nullspace:
         if not lam_min < 1e12:
             return eta0 / 1e-12, True
         return eta0 * lam_min, False
-
-
-def nullspace_projection(cov: DataCovariances) -> np.ndarray:
-    """Orthogonal projector onto the nullspace of Zbar0, as a matrix.
-
-    :meth:`Nullspace.project` applied to the identity and symmetrized; the
-    update applies the projector in factored form instead.  The projector
-    has trace m.
-    """
-    pi = Nullspace.of(cov).project(np.eye(cov.m + cov.r))
-    return 0.5 * (pi + pi.T)
-
-
-def adaptive_stepsize(cov: DataCovariances, eta0: float):
-    """:meth:`Nullspace.stepsize` of the covariances ``cov``."""
-    return Nullspace.of(cov).stepsize(eta0)
 
 
 def initial_policy(cov: DataCovariances, weights: LqrWeights) -> np.ndarray:

@@ -155,8 +155,8 @@ def riccati_gain(
 
     Raises:
         NoConvergence: if H has not converged within ``max_iter`` doubling
-            steps, the iterates diverge, W is singular in floating point, or
-            the resulting closed loop is not stable.
+            steps, the iterates diverge, W or ``R + B^T P B`` is singular
+            in floating point, or the resulting closed loop is not stable.
     """
     a = _as_square(a, "a")
     b = np.asarray(b, dtype=float)
@@ -190,7 +190,10 @@ def riccati_gain(
         if not np.isfinite(size):
             raise NoConvergence(f"Riccati iterates diverged after {step} doubling steps")
         if np.sqrt(np.vdot(d, d)) <= tol * max(1.0, size):
-            k = -np.linalg.solve(r + b.T @ h @ b, b.T @ h @ a)
+            try:
+                k = -np.linalg.solve(r + b.T @ h @ b, b.T @ h @ a)
+            except np.linalg.LinAlgError:
+                raise NoConvergence("R + B'PB is numerically singular at the converged P") from None
             if spectral_radius(a + b @ k) >= 1.0:
                 raise NoConvergence("Riccati iteration converged to a non-stabilizing gain")
             return k

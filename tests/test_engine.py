@@ -1,5 +1,6 @@
 """Online engine: initialization, the per-sample loop, and persistence."""
 
+import dataclasses
 import json
 import re
 import sys
@@ -14,6 +15,7 @@ from conftest import direct_data, fit_linear_dynamics, random_minimal, random_pa
 from deepo.engine import (
     DeepoConfig,
     DeepoState,
+    _decision_matrix,
     control_step,
     ingest_and_update,
     offline_init,
@@ -21,7 +23,7 @@ from deepo.engine import (
     run_online,
 )
 from deepo.errors import ConfigInvalid, InsufficientHistory, NonFinite
-from deepo.lqr_core import adaptive_stepsize, data_cost, parameterize
+from deepo.lqr_core import Nullspace, data_cost, parameterize
 from deepo.plant import (
     PlantModel,
     lqr_cost,
@@ -84,8 +86,6 @@ def test_already_optimal_gain_is_a_fixed_point(rng):
     state = offline_init_direct(u, z, z_next, DeepoConfig(lag=1, probe_std=0.0))
     k_star = model_lqr_gain(a, b, state.weights.q, state.weights.r)
     state.gain = k_star.copy()
-    state.v_prime = parameterize(state.cov, k_star)
-    state.v_synced_count = state.cov.count
     zc = z_next[:, -1].copy()
     for _ in range(100):
         uc = state.gain @ zc
@@ -125,29 +125,51 @@ def test_constraint_holds_every_step(rng):
         uc = state.gain @ zc + state.rng.standard_normal(1) * 0.01
         zn = a @ zc + b @ uc
         ingest_and_update(state, uc, zc, zn)
-        residual = np.linalg.norm(state.cov.z0_bar @ state.v_prime - np.eye(state.cov.r))
+        residual = np.linalg.norm(state.cov.z0_bar @ _decision_matrix(state) - np.eye(state.cov.r))
         assert residual <= 1e-6
         zc = zn
 
 
 def test_held_gain_step_prices_without_moving(rng):
     # update=False folds the sample into the covariances and records the
-    # cost of the held gain; the policy and its decision matrix stay put.
+    # cost of the held gain, priced at the decision matrix the engine reads
+    # off the updated inverse; the policy stays put.
     a, b = random_pair(rng, 3, 2)
     u0, z0, z0_next = direct_data(rng, a, b, steps=60, noise_std=1e-3)
     state = offline_init_direct(u0, z0, z0_next, DeepoConfig(lag=1), rng_seed=2)
-    gain, v_prime, synced = state.gain.copy(), state.v_prime.copy(), state.v_synced_count
+    gain, count = state.gain.copy(), state.cov.count
     zc = z0_next[:, -1].copy()
     uc = state.gain @ zc + 0.01 * state.rng.standard_normal(2)
     zn = a @ zc + b @ uc
     record = ingest_and_update(state, uc, zc, zn, update=False)
     npt.assert_array_equal(state.gain, gain)
-    npt.assert_array_equal(state.v_prime, v_prime)
-    assert state.v_synced_count == synced
-    assert state.cov.count == synced + 1
+    assert state.cov.count == count + 1
     assert record.eta is None and record.grad_norm is None
-    assert record.cost == data_cost(state.cov, parameterize(state.cov, state.gain), state.weights)
-    assert state.records[-1] is record and state.t == synced + 1
+    v = _decision_matrix(state)
+    assert record.cost == data_cost(state.cov, v, state.weights)
+    reference = parameterize(state.cov, state.gain)
+    assert np.linalg.norm(v - reference) <= 1e-10 * np.linalg.norm(reference)
+    assert state.records[-1] is record and state.t == count + 1
+
+
+def test_constraint_drift_repairs_the_inverse(rng):
+    # A perturbed phi_inv puts Zbar0 V off I; the first update warns once,
+    # re-inverts Phi and reads V again, and the repaired inverse is what the
+    # following updates build on.
+    a, b = random_pair(rng, 3, 2)
+    u0, z0, z0_next = direct_data(rng, a, b, steps=60, noise_std=1e-3)
+    state = offline_init_direct(u0, z0, z0_next, DeepoConfig(lag=1), rng_seed=4)
+    state.cov = dataclasses.replace(state.cov, phi_inv=state.cov.phi_inv * (1.0 + 1e-5))
+    zc = z0_next[:, -1].copy()
+    for _ in range(20):
+        uc = state.gain @ zc + 0.01 * state.rng.standard_normal(2)
+        zn = a @ zc + b @ uc
+        ingest_and_update(state, uc, zc, zn)
+        zc = zn
+    assert len([w for w in state.warnings if "constraint drift" in w]) == 1
+    exact = np.linalg.inv(state.cov.phi)
+    assert np.max(np.abs(state.cov.phi_inv - exact)) <= 1e-12 * np.max(np.abs(exact))
+    npt.assert_allclose(state.cov.z0_bar @ _decision_matrix(state), np.eye(3), rtol=0, atol=1e-9)
 
 
 def test_update_evaluates_each_closed_loop_once(rng, monkeypatch):
@@ -171,7 +193,7 @@ def test_update_evaluates_each_closed_loop_once(rng, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     record = ingest_and_update(state, uc, zc, zn)
-    eta_base, _ = adaptive_stepsize(state.cov, cfg.eta0)
+    eta_base, _ = Nullspace.of(state.cov).stepsize(cfg.eta0)
     assert not state.warnings
     assert record.eta == eta_base  # accepted at the first trial
     assert calls == {"closed_loop": 6, "_dlyap_doubling": 11}
@@ -260,8 +282,9 @@ def test_update_start_delays_adaptation():
 
 
 def test_frozen_then_resume_rebuilds_parameterization():
-    # After a frozen stretch the stored decision matrix is stale; resuming
-    # must fall back to a full solve without constraint-drift warnings.
+    # Resuming after a frozen stretch reads the decision matrix of the held
+    # gain off the inverse updated through that stretch, without
+    # constraint-drift warnings.
     state, _ = surrogate_run(seed=7, update_start=620, steps=700)
     assert not [w for w in state.warnings if "constraint drift" in w]
     assert np.linalg.norm(state.gain - state.initial_gain) > 0
@@ -287,15 +310,25 @@ def test_state_json_roundtrip():
     clone = DeepoState.from_json(state.to_json())
     npt.assert_allclose(clone.gain, state.gain)
     npt.assert_allclose(clone.cov.phi, state.cov.phi)
-    npt.assert_allclose(clone.v_prime, state.v_prime)
     npt.assert_allclose(clone.map.t_matrix, state.map.t_matrix)
     npt.assert_array_equal(clone.history.u, state.history.u)
     npt.assert_array_equal(clone.history.y, state.history.y)
     assert clone.t == state.t
-    assert clone.v_synced_count == state.v_synced_count
     assert clone.config == state.config
     # The restored rng continues the same stream.
     npt.assert_array_equal(clone.rng.standard_normal(4), state.rng.standard_normal(4))
+
+
+def test_checkpoint_with_stored_decision_matrix_still_loads():
+    # Checkpoints written before the decision matrix was read off phi_inv
+    # carry it as "v_prime" with a "v_synced_count"; those keys are ignored.
+    state, _ = surrogate_run(seed=8, steps=520)
+    payload = json.loads(state.to_json())
+    r = len(payload["cov"]["z1_bar"])
+    payload["v_prime"] = np.zeros((state.m + r, r)).tolist()
+    payload["v_synced_count"] = payload["cov"]["count"]
+    clone = DeepoState.from_json(json.dumps(payload))
+    assert clone.to_json() == state.to_json()
 
 
 def test_checkpoint_with_unknown_config_keys_is_config_invalid():
@@ -340,7 +373,6 @@ def checkpoint_payload():
         # Arrays whose shapes do not fit m = 2, r = 8, p = 2 and lag = 2.
         _edit("gain", lambda _: np.zeros((2, 3)).tolist()),
         _edit("initial_gain", _drop_last_column),
-        _edit("v_prime", _drop_last_column),
         _edit("cov.phi", _drop_last_column),
         _edit("cov.phi_inv", _drop_last_column),
         _edit("cov.z1_bar", _drop_last_column),

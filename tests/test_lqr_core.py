@@ -13,7 +13,6 @@ from deepo.lqr_core import (
     DataCovariances,
     LqrWeights,
     Nullspace,
-    adaptive_stepsize,
     closed_loop,
     cov_init,
     cov_update,
@@ -21,13 +20,17 @@ from deepo.lqr_core import (
     gradient,
     identity_weights,
     initial_policy,
-    nullspace_projection,
     parameterize,
-    rank_one_reparameterize,
     recover_gain,
 )
 from deepo.numerics import spectral_radius
 from deepo.plant import lqr_cost, model_lqr_gain
+
+
+def projector(cov):
+    """The projector Nullspace.project applies, as a symmetrized matrix."""
+    pi = Nullspace.of(cov).project(np.eye(cov.m + cov.r))
+    return 0.5 * (pi + pi.T)
 
 
 @pytest.fixture
@@ -191,7 +194,7 @@ def test_closed_loop_prices_like_data_cost(batch):
 
 def test_nullspace_projection_properties(batch):
     _, _, cov, _ = batch
-    pi = nullspace_projection(cov)
+    pi = projector(cov)
     npt.assert_allclose(pi, pi.T, atol=1e-12)
     npt.assert_allclose(pi @ pi, pi, atol=1e-10)
     npt.assert_allclose(cov.z0_bar @ pi, np.zeros((cov.r, cov.m + cov.r)), atol=1e-9)
@@ -252,10 +255,10 @@ def test_projector_and_stepsize_match_pseudoinverse_formulas(batch, recursive):
         for t in range(60, u.shape[1]):
             cov = cov_update(cov, u[:, t], z[:, t], z_next[:, t])
     reference = np.eye(cov.m + cov.r) - np.linalg.pinv(cov.z0_bar) @ cov.z0_bar
-    pi = nullspace_projection(cov)
+    pi = projector(cov)
     assert np.linalg.norm(pi - reference) <= 1e-10 * np.linalg.norm(reference)
     denom = np.linalg.norm(cov.u_bar @ reference @ cov.u_bar.T, ord=2)
-    eta, capped = adaptive_stepsize(cov, 1e-3)
+    eta, capped = Nullspace.of(cov).stepsize(1e-3)
     assert not capped
     assert eta == pytest.approx(1e-3 / denom, rel=1e-10)
 
@@ -264,8 +267,8 @@ def test_projected_step_preserves_constraint(batch, rng):
     _, _, cov, _ = batch
     weights = identity_weights(cov.r, cov.m)
     v = parameterize(cov, initial_policy(cov, weights))
-    pi = nullspace_projection(cov)
-    eta, capped = adaptive_stepsize(cov, 1e-3)
+    pi = projector(cov)
+    eta, capped = Nullspace.of(cov).stepsize(1e-3)
     assert not capped
     for _ in range(5):
         v = v - eta * (pi @ gradient(cov, closed_loop(cov, v, weights), weights))
@@ -274,8 +277,8 @@ def test_projected_step_preserves_constraint(batch, rng):
 
 def test_adaptive_stepsize_scales_with_eta0(batch):
     _, _, cov, _ = batch
-    e1, c1 = adaptive_stepsize(cov, 1e-4)
-    e2, c2 = adaptive_stepsize(cov, 2e-4)
+    e1, c1 = Nullspace.of(cov).stepsize(1e-4)
+    e2, c2 = Nullspace.of(cov).stepsize(2e-4)
     assert not c1 and not c2
     assert e2 == pytest.approx(2.0 * e1, rel=1e-12)
     assert e1 > 0
@@ -291,7 +294,7 @@ def test_adaptive_stepsize_caps_without_excitation():
         z1_bar=np.array([[0.5, 0.5]]),
         count=10,
     )
-    eta, capped = adaptive_stepsize(cov, 1e-4)
+    eta, capped = Nullspace.of(cov).stepsize(1e-4)
     assert capped
     assert eta == pytest.approx(1e-4 / 1e-12)
 
@@ -312,8 +315,8 @@ def test_descent_until_stationary(rng):
             continue
         weights = identity_weights(r, m)
         v = parameterize(cov, initial_policy(cov, weights))
-        pi = nullspace_projection(cov)
-        eta, _ = adaptive_stepsize(cov, 1e-3)
+        pi = projector(cov)
+        eta, _ = Nullspace.of(cov).stepsize(1e-3)
         costs = [data_cost(cov, v, weights)]
         for _ in range(400):
             step = pi @ gradient(cov, closed_loop(cov, v, weights), weights)
@@ -346,18 +349,17 @@ def test_initial_policy_unstabilizable_estimate():
         initial_policy(cov, identity_weights(2, 1))
 
 
-def test_rank_one_reparameterize_tracks_full_solve(rng):
-    # Carrying the decision matrix across updates equals re-solving.
+def test_decision_matrix_off_recursive_inverse_tracks_full_solve(rng):
+    # Reading V = Phi^-1 [K; I] off the Sherman-Morrison inverse, sample by
+    # sample, equals re-solving Phi V = [K; I].
     a, b = random_pair(rng, 3, 2)
     u, z, z_next = direct_data(rng, a, b, steps=300, noise_std=1e-2)
     cov = cov_init(u[:, :60], z[:, :60], z_next[:, :60])
     weights = identity_weights(3, 2)
     k = initial_policy(cov, weights)
-    v = parameterize(cov, k)
     for t in range(60, 300):
-        prev = cov
         cov = cov_update(cov, u[:, t], z[:, t], z_next[:, t])
-        v = rank_one_reparameterize(prev, v, u[:, t], z[:, t])
+        v = cov.phi_inv @ np.vstack([k, np.eye(3)])
         k = recover_gain(cov, v)
     direct = parameterize(cov, k)
     npt.assert_allclose(v, direct, atol=1e-9)

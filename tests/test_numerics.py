@@ -9,7 +9,8 @@ import pytest
 from conftest import random_pair
 from deepo import harness
 from deepo.engine import DeepoState, offline_init, run_online
-from deepo.errors import NoConvergence, NotStable, NotSymmetric
+from deepo.errors import NoConvergence, NotStable, NotSymmetric, Unstabilizable
+from deepo.lqr_core import DataCovariances, LqrWeights, initial_policy
 from deepo.numerics import (
     numerical_rank,
     riccati_gain,
@@ -240,3 +241,20 @@ def test_riccati_cheap_control_limit_is_no_convergence():
     b = np.array([[1e8], [1e8]])
     with pytest.raises(NoConvergence, match="singular"):
         riccati_gain(np.diag([0.5, 0.3]), b, np.eye(2), np.eye(1))
+
+
+def test_riccati_singular_final_gain_solve_is_no_convergence():
+    # An unreachable unstable mode (lambda = 1.257) behind a similarity
+    # transform with condition number 9.9e5, Q = 5.4e3 I and R = 3.1e-5 I:
+    # the H update falls below tolerance, but R + B'HB rounds to a singular
+    # matrix.  The last
+    # solve reports that as NoConvergence, and initial_policy as
+    # Unstabilizable, not as a numpy LinAlgError.
+    a = np.array([[9514.506437175556, -761.9848920882168], [118790.3064054756, -9513.51704282744]])
+    b = np.array([[-8848.439606024986, 6105.292377173933], [-110488.94272244105, 76235.73531608979]])
+    weights = LqrWeights(5404.25273815987 * np.eye(2), 3.06256550465209e-05 * np.eye(2))
+    with pytest.raises(NoConvergence, match="R \\+ B'PB is numerically singular"):
+        riccati_gain(a, b, weights.q, weights.r)
+    cov = DataCovariances(phi=np.eye(4), phi_inv=np.eye(4), z1_bar=np.hstack([b, a]), count=10)
+    with pytest.raises(Unstabilizable):
+        initial_policy(cov, weights)
