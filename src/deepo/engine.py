@@ -20,6 +20,7 @@ from .lqr_core import (
     DataCovariances,
     LqrWeights,
     Nullspace,
+    _eye,
     closed_loop,
     cov_init,
     cov_update,
@@ -303,7 +304,7 @@ def control_step(state: DeepoState, z) -> np.ndarray:
     if not state.initialized:
         raise ValueError("engine is not initialized")
     e = state.rng.standard_normal(state.m) * state.config.probe_std
-    u = state.gain @ z + e
+    u = state.gain.dot(z) + e
     if not np.all(np.isfinite(u)):
         raise NonFinite("control input diverged", records=state.records)
     return u
@@ -316,7 +317,7 @@ def _decision_matrix(state: DeepoState) -> np.ndarray:
     product, so Ubar V = K and Zbar0 V = I up to the inverse's accuracy.
     """
     phi_inv = state.cov.phi_inv
-    return phi_inv[:, : state.m] @ state.gain + phi_inv[:, state.m :]
+    return phi_inv[:, : state.m].dot(state.gain) + phi_inv[:, state.m :]
 
 
 def _checked_decision_matrix(state: DeepoState) -> np.ndarray:
@@ -329,7 +330,8 @@ def _checked_decision_matrix(state: DeepoState) -> np.ndarray:
     """
     cov = state.cov
     v = _decision_matrix(state)
-    drift = np.linalg.norm(cov.z0_bar @ v - np.eye(cov.r))
+    residual = cov.z0_bar.dot(v) - _eye(cov.r)
+    drift = np.sqrt(np.vdot(residual, residual))
     if drift <= _CONSTRAINT_REFRESH * np.sqrt(cov.r):
         return v
     state.warn(f"constraint drift {drift:.3g} at t={state.t}; re-solving")
@@ -364,7 +366,7 @@ def _policy_step(state: DeepoState):
         for _ in range(cfg.gradient_steps_per_sample):
             pg = nullspace.project(gradient(cov, cl, state.weights))
             if grad_norm is None:
-                grad_norm = float(np.linalg.norm(pg))
+                grad_norm = float(np.sqrt(np.vdot(pg, pg)))
             eta = eta_base
             for _ in range(_BACKTRACK_LIMIT + 1):
                 try:

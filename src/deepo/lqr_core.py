@@ -17,11 +17,21 @@ and the stepsize come from its first m columns N and the m x m Gram matrix
 N'N (:class:`Nullspace`), so the per-sample routines here need no general
 eigenvalues, pseudo-inverse or SVD; the one spectral quantity left is the
 smallest eigenvalue of N'N.
+
+The per-sample products here, in the engine and in the doubling solve are
+written ``a.dot(b)`` rather than ``a @ b``: at these sizes call overhead,
+not arithmetic, sets the latency, and numpy's ``@`` dispatches through the
+matmul gufunc machinery at about twice the cost of ``ndarray.dot``, which
+gives the same bits for these shapes and operand layouts.  The exception is
+``N'N`` in :meth:`Nullspace.of`, which keeps ``@``: for the column slice N
+with 16 or more rows the two round differently.  Frobenius norms are
+``sqrt(vdot(x, x))``, which is how ``np.linalg.norm`` computes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +53,15 @@ FEASIBILITY_MARGIN = 1e-9
 _SIGMA_BOUND = 1.0 / (1.0 - (1.0 - FEASIBILITY_MARGIN) ** 2)
 
 _COND_LIMIT = 1e12
+
+
+@lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity, built once per size and read-only, since every
+    caller shares it."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass(frozen=True)
@@ -149,16 +168,16 @@ def cov_update(cov: DataCovariances, u_t, z_t, z_next) -> DataCovariances:
     t = cov.count
     phi_vec = np.concatenate([u_t, z_t])
     scale = t / (t + 1.0)
-    phi = scale * cov.phi + np.outer(phi_vec, phi_vec) / (t + 1.0)
+    phi = scale * cov.phi + phi_vec[:, None] * phi_vec / (t + 1.0)
     phi = 0.5 * (phi + phi.T)
-    z1_bar = scale * cov.z1_bar + np.outer(z_next, phi_vec) / (t + 1.0)
+    z1_bar = scale * cov.z1_bar + z_next[:, None] * phi_vec / (t + 1.0)
     # Sherman-Morrison on (t Phi + phi phi') / (t + 1).
-    w = cov.phi_inv @ phi_vec
-    denom = t + phi_vec @ w
-    phi_inv = ((t + 1.0) / t) * (cov.phi_inv - np.outer(w, w) / denom)
+    w = cov.phi_inv.dot(phi_vec)
+    denom = t + phi_vec.dot(w)
+    phi_inv = ((t + 1.0) / t) * (cov.phi_inv - w[:, None] * w / denom)
     phi_inv = 0.5 * (phi_inv + phi_inv.T)
     # Frobenius-norm product is a cheap upper proxy for the condition number.
-    cond_proxy = np.linalg.norm(phi) * np.linalg.norm(phi_inv)
+    cond_proxy = np.sqrt(np.vdot(phi, phi)) * np.sqrt(np.vdot(phi_inv, phi_inv))
     return DataCovariances(
         phi=phi,
         phi_inv=phi_inv,
@@ -191,7 +210,7 @@ def recover_gain(cov: DataCovariances, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (cov.m + cov.r, cov.r):
         raise DimensionMismatch(f"v must have shape ({cov.m + cov.r}, {cov.r})")
-    return cov.u_bar @ v
+    return cov.u_bar.dot(v)
 
 
 @dataclass
@@ -214,7 +233,7 @@ class ClosedLoop:
     def cost(self) -> float:
         """LQR cost ``trace(q_k sigma)``, computed on access: gradient steps
         that pass through a point never need its cost."""
-        return float(np.trace(self.q_k @ self.sigma))
+        return float(np.trace(self.q_k.dot(self.sigma)))
 
 
 def closed_loop(cov: DataCovariances, v, weights: LqrWeights) -> ClosedLoop:
@@ -228,13 +247,13 @@ def closed_loop(cov: DataCovariances, v, weights: LqrWeights) -> ClosedLoop:
     strongly non-normal A can be rejected below that radius.
     """
     v = np.asarray(v, dtype=float)
-    a_cl = cov.z1_bar @ v
+    a_cl = cov.z1_bar.dot(v)
     try:
-        sigma = _dlyap_doubling(a_cl, np.eye(cov.r), _SIGMA_BOUND)
+        sigma = _dlyap_doubling(a_cl, _eye(cov.r), _SIGMA_BOUND)
     except NotStable:
         raise Unstable("closed loop of the policy is not Schur stable") from None
-    k = cov.u_bar @ v
-    q_k = weights.q + k.T @ weights.r @ k
+    k = cov.u_bar.dot(v)
+    q_k = weights.q + k.T.dot(weights.r).dot(k)
     return ClosedLoop(v=v, a_cl=a_cl, q_k=q_k, sigma=sigma)
 
 
@@ -259,8 +278,8 @@ def gradient(cov: DataCovariances, cl: ClosedLoop, weights: LqrWeights) -> np.nd
     loop and returns ``2 (Ubar' R Ubar + Zbar1' P Zbar1) V Sigma``.
     """
     p = _dlyap_doubling(cl.a_cl.T, cl.q_k)
-    ru = weights.r @ cov.u_bar
-    return 2.0 * (cov.u_bar.T @ ru + cov.z1_bar.T @ p @ cov.z1_bar) @ cl.v @ cl.sigma
+    ru = weights.r.dot(cov.u_bar)
+    return 2.0 * (cov.u_bar.T.dot(ru) + cov.z1_bar.T.dot(p).dot(cov.z1_bar)).dot(cl.v).dot(cl.sigma)
 
 
 @dataclass(frozen=True)
@@ -280,7 +299,7 @@ class Nullspace:
     @classmethod
     def of(cls, cov: DataCovariances) -> "Nullspace":
         n = cov.phi_inv[:, : cov.m]
-        gram = n.T @ n
+        gram = n.T @ n  # not .dot: see the module docstring
         return cls(n=n, gram=gram, n_plus=np.linalg.solve(gram, n.T))
 
     def project(self, g: np.ndarray) -> np.ndarray:
@@ -290,7 +309,7 @@ class Nullspace:
         products, without forming the (m + r) x (m + r) projector.  Gradient
         steps projected this way preserve the constraint Zbar0 V = I.
         """
-        return self.n @ (self.n_plus @ g)
+        return self.n.dot(self.n_plus.dot(g))
 
     def stepsize(self, eta0: float):
         """Stepsize scaled by the excitation level of the data.

@@ -85,18 +85,18 @@ def _dlyap_doubling(a: np.ndarray, w: np.ndarray, bound: float | None = None) ->
     x = w
     a_k = a
     for _ in range(200):
-        delta = a_k @ x @ a_k.T
+        delta = a_k.dot(x).dot(a_k.T)
         x = x + delta
         xx = np.vdot(x, x)
         if bound is not None and not xx < bound * bound:
             raise NotStable("Lyapunov iterates reached the bound or are not finite")
         if np.vdot(delta, delta) <= 1e-30 * xx:
             break
-        a_k = a_k @ a_k
+        a_k = a_k.dot(a_k)
     else:
         raise NoConvergence("doubling iteration for Lyapunov solve stalled")
     x = 0.5 * (x + x.T)
-    residual = x - w - a @ x @ a.T
+    residual = x - w - a.dot(x).dot(a.T)
     if np.vdot(residual, residual) > 1e-20 * np.vdot(x, x):
         raise IllConditioned(
             f"Lyapunov residual {np.linalg.norm(residual):.3g} exceeds tolerance; "
@@ -170,31 +170,41 @@ def riccati_gain(
     g = b @ np.linalg.solve(r, b.T)
     g = 0.5 * (g + g.T)
     h = 0.5 * (q + q.T)
-    for step in range(1, max_iter + 1):
-        try:
-            w_ag = np.linalg.solve(eye + g @ h, np.hstack([a_k, g]))
-        except np.linalg.LinAlgError:
-            raise NoConvergence(
-                f"I + GH is numerically singular at doubling step {step}"
-            ) from None
-        w_a, w_g = w_ag[:, :n], w_ag[:, n:]
-        d = a_k.T @ h @ w_a
-        d = 0.5 * (d + d.T)
-        h = h + d
-        g = g + a_k @ w_g @ a_k.T
-        g = 0.5 * (g + g.T)
-        a_k = a_k @ w_a
-        # Frobenius norms as sqrt(vdot), the bits np.linalg.norm computes:
-        # an overflowing sum reads inf instead of warning.
-        size = np.sqrt(np.vdot(h, h))
-        if not np.isfinite(size):
-            raise NoConvergence(f"Riccati iterates diverged after {step} doubling steps")
-        if np.sqrt(np.vdot(d, d)) <= tol * max(1.0, size):
+    # Products of diverging iterates may overflow: they read inf or nan and
+    # are reported by the finiteness tests below instead of warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, max_iter + 1):
             try:
-                k = -np.linalg.solve(r + b.T @ h @ b, b.T @ h @ a)
+                w_ag = np.linalg.solve(eye + g @ h, np.hstack([a_k, g]))
             except np.linalg.LinAlgError:
-                raise NoConvergence("R + B'PB is numerically singular at the converged P") from None
-            if spectral_radius(a + b @ k) >= 1.0:
-                raise NoConvergence("Riccati iteration converged to a non-stabilizing gain")
-            return k
-    raise NoConvergence(f"Riccati iteration did not converge in {max_iter} doubling steps")
+                raise NoConvergence(
+                    f"I + GH is numerically singular at doubling step {step}"
+                ) from None
+            w_a, w_g = w_ag[:, :n], w_ag[:, n:]
+            d = a_k.T @ h @ w_a
+            dg = a_k @ w_g @ a_k.T
+            # Frobenius norms as sqrt(vdot), the bits np.linalg.norm computes:
+            # an overflowing sum reads inf instead of warning.  Finite squared
+            # norms of the updates and of H keep every entry below sqrt(max
+            # float), so the sums below cannot overflow.
+            if not (np.vdot(d, d) < np.inf and np.vdot(dg, dg) < np.inf):
+                raise NoConvergence(f"Riccati iterates diverged after {step} doubling steps")
+            d = 0.5 * (d + d.T)
+            h = h + d
+            g = g + dg
+            g = 0.5 * (g + g.T)
+            a_k = a_k @ w_a
+            size = np.sqrt(np.vdot(h, h))
+            if not np.isfinite(size):
+                raise NoConvergence(f"Riccati iterates diverged after {step} doubling steps")
+            if np.sqrt(np.vdot(d, d)) <= tol * max(1.0, size):
+                break
+        else:
+            raise NoConvergence(f"Riccati iteration did not converge in {max_iter} doubling steps")
+    try:
+        k = -np.linalg.solve(r + b.T @ h @ b, b.T @ h @ a)
+    except np.linalg.LinAlgError:
+        raise NoConvergence("R + B'PB is numerically singular at the converged P") from None
+    if spectral_radius(a + b @ k) >= 1.0:
+        raise NoConvergence("Riccati iteration converged to a non-stabilizing gain")
+    return k

@@ -251,4 +251,4 @@ def reduce_state(reduction: ReductionMap, xi) -> np.ndarray:
             f"window has {xi.shape[0]} entries, map expects "
             f"{reduction.t_matrix.shape[1]}"
         )
-    return reduction.t_matrix @ xi
+    return reduction.t_matrix.dot(xi)

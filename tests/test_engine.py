@@ -23,7 +23,15 @@ from deepo.engine import (
     run_online,
 )
 from deepo.errors import ConfigInvalid, InsufficientHistory, NonFinite
-from deepo.lqr_core import Nullspace, data_cost, parameterize
+from deepo.lqr_core import (
+    DataCovariances,
+    Nullspace,
+    closed_loop,
+    cov_update,
+    data_cost,
+    identity_weights,
+    parameterize,
+)
 from deepo.plant import (
     PlantModel,
     lqr_cost,
@@ -222,6 +230,85 @@ def test_per_sample_path_needs_no_eigendecomposition_or_svd(rng, monkeypatch):
         assert (record.eta is not None) == update
         zc = zn
     assert not state.warnings
+
+
+def _ill_conditioned_covariances(scale):
+    # Phi = diag(1, 1, scale) for one input and two states, with the
+    # cross-covariance of z+ = A z + B u, so every gain's decision matrix
+    # has the closed loop A + B K; a small scale makes Phi ill-conditioned.
+    a = np.array([[0.5, 0.1], [0.0, 0.4]])
+    b = np.array([[1.0], [0.5]])
+    phi = np.diag([1.0, 1.0, scale])
+    return DataCovariances(
+        phi=phi, phi_inv=np.diag(1.0 / np.diag(phi)), z1_bar=np.hstack([b, a]) @ phi, count=10
+    )
+
+
+def test_ill_conditioned_covariances_are_flagged_and_warned():
+    # The condition proxy ||Phi||_F ||Phi^-1||_F crosses 1e12 inside this
+    # range of scales (the sample leaves the small direction alone); the
+    # flag follows it exactly on both sides.
+    flags = []
+    for scale in np.geomspace(1e-13, 1e-11, 41):
+        cov = cov_update(_ill_conditioned_covariances(scale), [0.1], [0.2, 0.0], [0.05, 0.0])
+        assert cov.ill_conditioned == (np.linalg.norm(cov.phi) * np.linalg.norm(cov.phi_inv) > 1e12)
+        flags.append(cov.ill_conditioned)
+    assert True in flags and False in flags
+    state = DeepoState.fresh(DeepoConfig(lag=1), m=1)
+    state.cov = _ill_conditioned_covariances(1e-13)
+    state.weights = identity_weights(2, 1)
+    state.gain = np.zeros((1, 2))
+    ingest_and_update(state, [0.1], [0.2, 0.0], [0.05, 0.0])
+    assert state.cov.ill_conditioned
+    assert "data covariance poorly conditioned at t=0" in state.warnings
+
+
+def _direct_state(rng, eta0):
+    a, b = random_pair(rng, 3, 2)
+    u0, z0, z0_next = direct_data(rng, a, b, steps=60, noise_std=1e-3)
+    state = offline_init_direct(u0, z0, z0_next, DeepoConfig(lag=1, eta0=eta0), rng_seed=2)
+    zc = z0_next[:, -1].copy()
+    uc = state.gain @ zc + 0.01 * state.rng.standard_normal(2)
+    return state, a, b, (uc, zc, a @ zc + b @ uc)
+
+
+def test_backtracking_halves_an_infeasible_first_trial(rng):
+    # A stepsize far beyond the feasible set: the step is halved until the
+    # closed loop is stable, and the record says which trial was taken.
+    state, _, _, sample = _direct_state(rng, eta0=1e4)
+    record = ingest_and_update(state, *sample)
+    eta_base, _ = Nullspace.of(state.cov).stepsize(state.config.eta0)
+    assert record.eta in [eta_base / 2**j for j in range(1, 11)]
+    # The new gain is feasible: its closed loop passes the test again.
+    cl = closed_loop(state.cov, _decision_matrix(state), state.weights)
+    assert cl.cost == pytest.approx(record.cost, rel=1e-9)
+    assert not state.warnings
+
+
+def test_backtracking_exhausted_holds_the_gain(rng):
+    # Even the tenth halving leaves the feasible set: the step is dropped
+    # with a warning and the gain stays where it was.
+    state, _, _, sample = _direct_state(rng, eta0=1e9)
+    gain = state.gain.copy()
+    record = ingest_and_update(state, *sample)
+    assert record.eta is None
+    assert state.warnings == ["gradient step infeasible after backtracking at t=60"]
+    npt.assert_allclose(state.gain, gain, rtol=1e-9, atol=0)
+    assert np.isfinite(record.cost) and record.grad_norm > 0
+
+
+def test_infeasible_held_gain_is_held_at_infinite_cost(rng):
+    # A gain that destabilizes the data-driven closed loop cannot start a
+    # gradient step: it is held with a warning and priced at inf.
+    state, a, b, sample = _direct_state(rng, eta0=1e-4)
+    state.gain = 10.0 * np.linalg.pinv(b)
+    assert np.max(np.abs(np.linalg.eigvals(a + b @ state.gain))) > 1.0
+    gain = state.gain.copy()
+    record = ingest_and_update(state, *sample)
+    assert state.warnings == ["infeasible parameterization at t=60; gain held"]
+    assert record.cost == float("inf")
+    assert record.eta is None and record.grad_norm is None
+    npt.assert_allclose(state.gain, gain, rtol=1e-9, atol=0)
 
 
 def surrogate_run(seed, steps=700, policy_updates=True, update_start=None):

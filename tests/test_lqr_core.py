@@ -13,6 +13,7 @@ from deepo.lqr_core import (
     DataCovariances,
     LqrWeights,
     Nullspace,
+    _eye,
     closed_loop,
     cov_init,
     cov_update,
@@ -202,6 +203,18 @@ def test_nullspace_projection_properties(batch):
     # The update applies the same projector in factored form.
     g = np.random.default_rng(5).standard_normal((cov.m + cov.r, cov.r))
     npt.assert_allclose(Nullspace.of(cov).project(g), pi @ g, rtol=0, atol=1e-12 * np.linalg.norm(g))
+
+
+def test_cached_identity_is_shared_and_read_only():
+    # closed_loop and the engine's drift check read one identity per size;
+    # a caller writing into it would corrupt every later solve.
+    for n in (1, 3, 8):
+        eye = _eye(n)
+        assert _eye(n) is eye
+        assert not eye.flags.writeable
+        with pytest.raises(ValueError):
+            eye[0, 0] = 2.0
+        npt.assert_array_equal(eye, np.eye(n))
 
 
 def _loop_covariances(a, b):

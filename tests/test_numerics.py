@@ -168,14 +168,34 @@ def test_riccati_unstabilizable_pair_raises():
 
 
 def test_riccati_divergence_is_reported_without_warnings():
-    # The unreachable 1.5 mode makes ||P|| overflow within 500 sweeps; the
-    # iteration must say so instead of reading inf <= inf as convergence.
-    a = np.diag([1.5, 0.5])
-    b = np.array([[0.0], [1.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NoConvergence, match="diverged"):
-            riccati_gain(a, b, np.eye(2), np.eye(1), max_iter=500)
+    # Each pair has an unreachable unstable mode, so ||P|| overflows; the
+    # iteration must say so before an overflow warns, instead of reading
+    # inf <= inf as convergence.
+    t = np.array([[1.0, 1.0], [0.0, 1e-3]])
+    cases = [
+        (np.diag([1.5, 0.5]), np.array([[0.0], [1.0]]), np.eye(2), np.eye(1)),
+        # Mode 2 behind T with cheap control: at the ninth step the H
+        # update is about 1e308, where symmetrizing it would overflow.
+        (
+            t @ np.array([[0.3, 1.0], [0.0, 2.0]]) @ np.linalg.inv(t),
+            t @ np.array([[1.0, 1.0], [0.0, 0.0]]),
+            np.eye(2),
+            1e-6 * np.eye(2),
+        ),
+        # Mode 1.41: the product that forms the H update overflows at the
+        # tenth step.
+        (
+            np.array([[-0.09949974913028137, 1.3456298650362983], [0.0, 1.4146865369430786]]),
+            np.array([[0.1531721445789296, 0.11235629143420875], [0.0, 0.0]]),
+            0.5640544337694617 * np.eye(2),
+            0.0017090815599573482 * np.eye(2),
+        ),
+    ]
+    for a, b, q, r in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NoConvergence, match="diverged"):
+                riccati_gain(a, b, q, r)
 
 
 def test_riccati_doubling_matches_value_iteration_oracle(rng):
