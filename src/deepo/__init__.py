@@ -4,8 +4,9 @@ Past input-output windows of an unknown linear plant form an exact
 (non-minimal) state; a singular-value reduction compresses them to a
 minimal coordinate; sample covariances of the reduced data parameterize
 every achievable closed loop, and one projected gradient step per sample
-tracks the LQR-optimal feedback gain online — no plant model is ever
-identified explicitly.
+tracks the LQR-optimal feedback gain online.  No plant model is fitted
+beyond the least-squares model the covariances define, on which the step is
+taken in gain coordinates (see :mod:`deepo.lqr_core`).
 
 Typical entry points: :func:`deepo.engine.offline_init` +
 :func:`deepo.engine.run_online` for the control loop, and
@@ -51,6 +52,7 @@ from .lqr_core import (
     ClosedLoop,
     DataCovariances,
     LqrWeights,
+    Model,
     Nullspace,
     closed_loop,
     cov_init,
@@ -59,8 +61,6 @@ from .lqr_core import (
     gradient,
     identity_weights,
     initial_policy,
-    parameterize,
-    recover_gain,
 )
 from .plant import PlantModel, SwitchEvent, SwitchSchedule, SwitchingPlant, make_surrogate_converter
 from .realization import IoHistory, ReductionMap, reduce_svd, stack_window
@@ -82,6 +82,7 @@ __all__ = [
     "IoHistory",
     "LagTooSmall",
     "LqrWeights",
+    "Model",
     "Nullspace",
     "NoConvergence",
     "NonFinite",
@@ -111,9 +112,7 @@ __all__ = [
     "make_surrogate_converter",
     "offline_init",
     "offline_init_direct",
-    "parameterize",
     "parse_scenario",
-    "recover_gain",
     "reduce_svd",
     "run_adaptation_scenario",
     "run_online",

@@ -16,15 +16,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import harness
-from .engine import DeepoConfig, _decision_matrix, ingest_and_update, offline_init_direct
+from .engine import DeepoConfig, ingest_and_update, offline_init_direct
 from .lqr_core import (
+    Model,
     closed_loop,
     cov_init,
     data_cost,
     gradient,
     identity_weights,
     initial_policy,
-    parameterize,
 )
 from .numerics import numerical_rank, spectral_radius
 from .plant import (
@@ -155,25 +155,26 @@ def _crit_gradient(seed: int):
         a, b = _random_pair(rng, r, m, rho=0.7)
         u, z, z_next = _direct_data(rng, a, b, 12 * (m + r), amplitude=1.0, noise_std=1e-3)
         cov = cov_init(u, z, z_next)
+        model = Model.of(cov)
         weights = identity_weights(r, m)
-        v_base = parameterize(cov, initial_policy(cov, weights))
+        k_base = initial_policy(cov, weights)
         made = 0
         while made < 4:
-            v = v_base + 0.05 * rng.normal(size=v_base.shape)
-            if spectral_radius(cov.z1_bar @ v) > 0.9:
+            k = k_base + 0.05 * rng.normal(size=k_base.shape)
+            if spectral_radius(model.a + model.b @ k) > 0.9:
                 continue
             made += 1
             points += 1
-            g = gradient(cov, closed_loop(cov, v, weights), weights)
-            fd = np.zeros_like(v)
+            g = gradient(model, closed_loop(model, k, weights), weights)
+            fd = np.zeros_like(k)
             h = 1e-6
-            for i in range(v.shape[0]):
-                for j in range(v.shape[1]):
-                    vp = v.copy()
-                    vp[i, j] += h
-                    vm = v.copy()
-                    vm[i, j] -= h
-                    fd[i, j] = (data_cost(cov, vp, weights) - data_cost(cov, vm, weights)) / (2 * h)
+            for i in range(k.shape[0]):
+                for j in range(k.shape[1]):
+                    kp = k.copy()
+                    kp[i, j] += h
+                    km = k.copy()
+                    km[i, j] -= h
+                    fd[i, j] = (data_cost(model, kp, weights) - data_cost(model, km, weights)) / (2 * h)
             rel = float(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-12))
             if rel > worst:
                 worst = rel
@@ -195,8 +196,7 @@ def _crit_certainty_equivalence(seed: int):
         k_ce = initial_policy(cov, weights)
         k_star = model_lqr_gain(a, b, weights.q, weights.r)
         worst_gain = max(worst_gain, float(np.max(np.abs(k_ce - k_star))))
-        v = parameterize(cov, k_ce)
-        cost_gap = abs(data_cost(cov, v, weights) - lqr_cost(a, b, k_ce, weights.q, weights.r))
+        cost_gap = abs(data_cost(Model.of(cov), k_ce, weights) - lqr_cost(a, b, k_ce, weights.q, weights.r))
         worst_cost = max(worst_cost, float(cost_gap))
     passed = worst_gain <= 1e-6 and worst_cost <= 1e-6
     return passed, f"max gain gap {worst_gain:.3e}, max cost gap {worst_cost:.3e} (bounds 1e-6)"
@@ -264,8 +264,9 @@ def _crit_recursion(seed: int):
         d_mat = np.array(cols).T
         phi_batch = d_mat @ d_mat.T / d_mat.shape[1]
         inv_gap = float(np.max(np.abs(state.cov.phi_inv - np.linalg.inv(phi_batch))))
-        v_batch = np.linalg.solve(phi_batch, np.vstack([state.gain, np.eye(r)]))
-        v_gap = float(np.max(np.abs(_decision_matrix(state) - v_batch)))
+        gain_rows = np.vstack([state.gain, np.eye(r)])
+        v_batch = np.linalg.solve(phi_batch, gain_rows)
+        v_gap = float(np.max(np.abs(state.cov.phi_inv @ gain_rows - v_batch)))
         worst_inv = max(worst_inv, inv_gap)
         worst_v = max(worst_v, v_gap)
         x = x_next

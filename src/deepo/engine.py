@@ -1,10 +1,12 @@
 """Online adaptive LQR engine.
 
 Wires the pieces together into the per-sample loop: control with probing
-noise, fold the new sample into the data covariances, read the current
-gain's decision matrix off the updated inverse covariance, take projected
-gradient steps with feasibility backtracking, and read off the next gain.
-The engine sees the plant only through ``step(u) -> y``.
+noise, fold the new sample into the data covariances, read the
+least-squares model off the updated inverse covariance, and take
+preconditioned gradient steps on the gain with feasibility backtracking.
+Each such step is the paper's projected step on the decision matrix, taken
+in gain coordinates (see :mod:`deepo.lqr_core`).  The engine sees the plant
+only through ``step(u) -> y``.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigInvalid, InsufficientHistory, NonFinite, Unstable
+from .errors import ConfigInvalid, InsufficientHistory, NonFinite, RankDeficient, Unstable
 from .lqr_core import (
     DataCovariances,
     LqrWeights,
+    Model,
     Nullspace,
     _eye,
     closed_loop,
@@ -28,7 +31,6 @@ from .lqr_core import (
     gradient,
     identity_weights,
     initial_policy,
-    recover_gain,
 )
 from .realization import (
     IoHistory,
@@ -41,8 +43,8 @@ from .realization import (
 
 _BACKTRACK_LIMIT = 10
 
-# Re-invert Phi outright when the constraint residual of the decision matrix
-# read off the Sherman-Morrison inverse drifts past this (times sqrt(r)).
+# Re-invert Phi outright when the Sherman-Morrison inverse drifts from a true
+# inverse, ||Phi Phi^-1 - I||_F, past this (times sqrt(m + r)).
 _CONSTRAINT_REFRESH = 1e-7
 
 
@@ -310,91 +312,80 @@ def control_step(state: DeepoState, z) -> np.ndarray:
     return u
 
 
-def _decision_matrix(state: DeepoState) -> np.ndarray:
-    """Decision matrix of the held gain under the current covariances.
+def _checked_model(state: DeepoState) -> Model:
+    """The least-squares model, repairing the inverse when it drifts.
 
-    ``V = Phi^{-1} [K; I]``, read off the Sherman-Morrison inverse in one
-    product, so Ubar V = K and Zbar0 V = I up to the inverse's accuracy.
-    """
-    phi_inv = state.cov.phi_inv
-    return phi_inv[:, : state.m].dot(state.gain) + phi_inv[:, state.m :]
-
-
-def _checked_decision_matrix(state: DeepoState) -> np.ndarray:
-    """:func:`_decision_matrix`, repairing the inverse when the constraint drifts.
-
-    Rounding accumulates in the recursive ``phi_inv``.  When ``Zbar0 V``
+    Rounding accumulates in the recursive ``phi_inv``.  When ``Phi Phi^{-1}``
     strays from I past the refresh bound, ``phi_inv`` is replaced by a fresh
-    inverse of ``phi`` (with a warning) and V is read again, so everything
-    that reads the inverse afterwards reads the repaired one.
+    inverse of ``phi`` (with a warning), so everything that reads the
+    inverse afterwards reads the repaired one.  Raises RankDeficient when
+    ``phi`` is singular in floating point.
     """
     cov = state.cov
-    v = _decision_matrix(state)
-    residual = cov.z0_bar.dot(v) - _eye(cov.r)
+    residual = cov.phi.dot(cov.phi_inv) - _eye(len(cov.phi))
     drift = np.sqrt(np.vdot(residual, residual))
-    if drift <= _CONSTRAINT_REFRESH * np.sqrt(cov.r):
-        return v
-    state.warn(f"constraint drift {drift:.3g} at t={state.t}; re-solving")
-    phi_inv = np.linalg.inv(cov.phi)
-    state.cov = replace(cov, phi_inv=0.5 * (phi_inv + phi_inv.T))
-    return _decision_matrix(state)
+    if not drift <= _CONSTRAINT_REFRESH * np.sqrt(len(cov.phi)):
+        state.warn(f"constraint drift {drift:.3g} at t={state.t}; re-solving")
+        try:
+            phi_inv = np.linalg.inv(cov.phi)
+        except np.linalg.LinAlgError:
+            raise RankDeficient(f"data covariance is singular at t={state.t}") from None
+        state.cov = replace(cov, phi_inv=0.5 * (phi_inv + phi_inv.T))
+    return Model.of(state.cov)
 
 
 def _policy_step(state: DeepoState):
     """Advance the policy under the just-updated covariances.
 
-    Reads the current gain's decision matrix, takes the configured number
-    of projected gradient steps, and stores the new gain.  Returns
-    ``(cost, eta, grad_norm)`` for the step record.
+    Takes the configured number of gradient steps ``K <- K - eta (N'N)^{-1}
+    grad_K J`` on the least-squares model and stores the new gain.  Returns
+    ``(cost, eta, grad_norm)`` for the step record, where ``grad_norm`` is
+    the norm of the projected decision-matrix gradient, ``||Pi grad_V J||_F``.
     """
     cfg = state.config
     if state.cov.ill_conditioned:
         state.warn(f"data covariance poorly conditioned at t={state.t}")
-    v = _checked_decision_matrix(state)
-    cov = state.cov
-    nullspace = Nullspace.of(cov)
+    model = _checked_model(state)
+    nullspace = Nullspace.of(state.cov)
     eta_base, capped = nullspace.stepsize(cfg.eta0)
     if capped:
         state.warn(f"excitation level vanished at t={state.t}; stepsize capped")
-    eta_used = grad_norm = None
     try:
-        cl = closed_loop(cov, v, state.weights)
+        cl = closed_loop(model, state.gain, state.weights)
     except Unstable:
         state.warn(f"infeasible parameterization at t={state.t}; gain held")
-        cost = float("inf")
-    else:
-        for _ in range(cfg.gradient_steps_per_sample):
-            pg = nullspace.project(gradient(cov, cl, state.weights))
-            if grad_norm is None:
-                grad_norm = float(np.sqrt(np.vdot(pg, pg)))
-            eta = eta_base
-            for _ in range(_BACKTRACK_LIMIT + 1):
-                try:
-                    cl = closed_loop(cov, cl.v - eta * pg, state.weights)
-                    break
-                except Unstable:
-                    eta *= 0.5
-            else:
-                state.warn(f"gradient step infeasible after backtracking at t={state.t}")
+        return float("inf"), None, None
+    eta_used = grad_norm = None
+    for _ in range(cfg.gradient_steps_per_sample):
+        step = nullspace.gram_inv.dot(gradient(model, cl, state.weights))
+        if grad_norm is None:
+            grad_norm = float(np.sqrt(np.vdot(step, nullspace.gram.dot(step))))
+        eta = eta_base
+        for _ in range(_BACKTRACK_LIMIT + 1):
+            try:
+                cl = closed_loop(model, cl.k - eta * step, state.weights)
                 break
-            if eta_used is None:
-                eta_used = eta
-        v, cost = cl.v, cl.cost
-    state.gain = recover_gain(cov, v)
-    return cost, eta_used, grad_norm
+            except Unstable:
+                eta *= 0.5
+        else:
+            state.warn(f"gradient step infeasible after backtracking at t={state.t}")
+            break
+        if eta_used is None:
+            eta_used = eta
+    state.gain = cl.k
+    return cl.cost, eta_used, grad_norm
 
 
 def ingest_and_update(state: DeepoState, u_t, z_t, z_next, update: bool = True) -> StepRecord:
     """Fold one sample into the engine and, when ``update``, advance the policy.
 
-    Updates the covariances and reads the current gain's decision matrix off
-    the updated inverse (re-inverting Phi with a warning when the constraint
-    Zbar0 V = I has drifted).  Then it either takes the configured number of
-    projected gradient steps (halving the stepsize up to ten times if a step
-    leaves the feasible set; the gain is held with a warning when even that
-    fails) and reads off the next gain; or, with ``update=False``, holds the
-    gain and records its data cost under the new covariances.  Appends and
-    returns the step record.
+    Updates the covariances and reads the least-squares model off the
+    updated inverse (re-inverting Phi with a warning when the inverse has
+    drifted).  Then it either takes the configured number of gradient steps
+    on the gain (halving the stepsize up to ten times if a step leaves the
+    feasible set; the gain is held with a warning when even that fails); or,
+    with ``update=False``, holds the gain and records its data cost under
+    the new covariances.  Appends and returns the step record.
     """
     if not state.initialized:
         raise ValueError("engine is not initialized")
@@ -402,7 +393,7 @@ def ingest_and_update(state: DeepoState, u_t, z_t, z_next, update: bool = True) 
     if update:
         cost, eta, grad_norm = _policy_step(state)
     else:
-        cost = data_cost(state.cov, _checked_decision_matrix(state), state.weights)
+        cost = data_cost(_checked_model(state), state.gain, state.weights)
         eta = grad_norm = None
     record = StepRecord(
         t=state.t,

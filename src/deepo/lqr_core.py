@@ -1,20 +1,34 @@
-"""Covariance-parameterized data-driven LQR.
+"""Covariance-parameterized data-driven LQR, stepped in gain coordinates.
 
 Sample covariances of (input, reduced state, shifted reduced state) data
 parameterize the set of feedback gains directly: any decision matrix V with
-Zbar0 V = I yields the gain K = Ubar V and closed-loop matrix Zbar1 V.  The
-routines here maintain those covariances recursively, evaluate the LQR cost
-and its exact gradient in V, and take projected gradient steps that stay on
-the constraint set.  :func:`closed_loop` is the one place a V is tested for
-feasibility, and the test is the Lyapunov solve for the closed-loop state
-covariance itself: the solve rejects V once that covariance grows past the
-bound that keeps the spectral radius below ``1 - FEASIBILITY_MARGIN``.  The
+Zbar0 V = I yields the gain K = Ubar V and closed-loop matrix Zbar1 V, and
+the paper's update is a gradient step on V projected onto that constraint.
+The routines here maintain the covariances recursively and supply the same
+step written in K: the cost, its gradient in K, and the preconditioner.
+
+With N = Phi^{-1}[:, :m] (so Phi N = [I; 0]) we have Ubar N = I and
+Zbar1 N = B, where [B A] = Zbar1 Phi^{-1} is the least-squares model
+(:class:`Model`).  The decision matrix of K is V = Phi^{-1} [K; I], so
+Zbar1 V = A + B K, and the projector onto the nullspace of Zbar0 is
+Pi = N (N'N)^{-1} N', so Ubar Pi = (N'N)^{-1} N'.  N' maps the V gradient
+2 (Ubar' R Ubar + Zbar1' P Zbar1) V Sigma to
+
+    grad_K J = 2 (R K + B' P (A + B K)) Sigma,
+
+hence Ubar (V - eta Pi grad_V J) = K - eta (N'N)^{-1} grad_K J: the
+projected step is the model-based policy gradient (Fazel, Ge, Kakade &
+Mesbahi, ICML 2018, with u = K x) on the least-squares model,
+preconditioned by (N'N)^{-1}, and ||Pi grad_V J||_F^2 = tr(M' N'N M) with
+M = (N'N)^{-1} grad_K J.  :class:`Nullspace` holds N'N, its inverse and the
+stepsize read from it.
+
+:func:`closed_loop` is the one place a gain is tested for feasibility, and
+the test is the Lyapunov solve for the closed-loop state covariance itself:
+the solve rejects K once that covariance grows past the bound that keeps
+the spectral radius below ``1 - FEASIBILITY_MARGIN``.  The
 :class:`ClosedLoop` it returns carries the covariance that both the cost and
-the gradient are read from.  The Sherman-Morrison inverse ``phi_inv``
-serves the rest: the decision matrix of a gain K is ``phi_inv [K; I]``
-(:func:`parameterize` is the LU-solve reference for it), and the projector
-and the stepsize come from its first m columns N and the m x m Gram matrix
-N'N (:class:`Nullspace`), so the per-sample routines here need no general
+the gradient are read from.  The per-sample routines need no general
 eigenvalues, pseudo-inverse or SVD; the one spectral quantity left is the
 smallest eigenvalue of N'N.
 
@@ -187,44 +201,33 @@ def cov_update(cov: DataCovariances, u_t, z_t, z_next) -> DataCovariances:
     )
 
 
-def parameterize(cov: DataCovariances, k) -> np.ndarray:
-    """Decision matrix reproducing the gain ``k``: solves Phi V = [K; I].
+@dataclass(frozen=True)
+class Model:
+    """Least-squares model ``z+ = A z + B u`` of the data, ``[B A] = Zbar1 Phi^{-1}``.
 
-    The result satisfies Zbar0 V = I and Ubar V = K up to solver accuracy.
-    An LU solve of Phi itself, independent of the recursive ``phi_inv`` the
-    engine reads V from, so it serves as the reference for that product.
+    Read off the recursive inverse by :meth:`of`, once per decision.
     """
-    k = np.asarray(k, dtype=float)
-    if k.shape != (cov.m, cov.r):
-        raise DimensionMismatch(f"gain must have shape ({cov.m}, {cov.r})")
-    rhs = np.vstack([k, np.eye(cov.r)])
-    try:
-        v = np.linalg.solve(cov.phi, rhs)
-    except np.linalg.LinAlgError:
-        raise RankDeficient("sample covariance is singular") from None
-    return v
 
+    b: np.ndarray
+    a: np.ndarray
 
-def recover_gain(cov: DataCovariances, v) -> np.ndarray:
-    """Gain encoded by a decision matrix: K = Ubar V."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (cov.m + cov.r, cov.r):
-        raise DimensionMismatch(f"v must have shape ({cov.m + cov.r}, {cov.r})")
-    return cov.u_bar.dot(v)
+    @classmethod
+    def of(cls, cov: DataCovariances) -> "Model":
+        ba = cov.z1_bar.dot(cov.phi_inv)
+        return cls(b=ba[:, : cov.m], a=ba[:, cov.m :])
 
 
 @dataclass
 class ClosedLoop:
-    """One feasible decision matrix evaluated under the data-driven dynamics.
+    """One feasible gain evaluated under the least-squares model.
 
     Built only by :func:`closed_loop`, so holding one means ``a_cl`` passed
-    the feasibility test.  ``a_cl = Zbar1 V``; ``q_k = Q + K' R K`` with
-    ``K = Ubar V``; ``sigma`` is the closed-loop state covariance for unit
-    process noise.  A plain dataclass because the update builds one per
-    trial step.
+    the feasibility test.  ``a_cl = A + B K``; ``q_k = Q + K' R K``;
+    ``sigma`` is the closed-loop state covariance for unit process noise.
+    A plain dataclass because the update builds one per trial step.
     """
 
-    v: np.ndarray
+    k: np.ndarray
     a_cl: np.ndarray
     q_k: np.ndarray
     sigma: np.ndarray
@@ -236,91 +239,83 @@ class ClosedLoop:
         return float(np.trace(self.q_k.dot(self.sigma)))
 
 
-def closed_loop(cov: DataCovariances, v, weights: LqrWeights) -> ClosedLoop:
-    """Test ``v`` for feasibility and evaluate its closed loop.
+def closed_loop(model: Model, k, weights: LqrWeights) -> ClosedLoop:
+    """Test the gain ``k`` for feasibility and evaluate its closed loop.
 
-    Solves Sigma = I + A Sigma A' for A = Zbar1 V by doubling and raises
-    Unstable when an iterate reaches ``||Sigma||_F >= 1 / (1 - (1 -
+    Solves Sigma = I + A_cl Sigma A_cl' for A_cl = A + B K by doubling and
+    raises Unstable when an iterate reaches ``||Sigma||_F >= 1 / (1 - (1 -
     FEASIBILITY_MARGIN)^2)`` or is not finite.  Since
-    ``1 - |lam|^2 >= 1 / ||Sigma||_F`` for every eigenvalue lam of A, an
-    accepted V has spectral radius below ``1 - FEASIBILITY_MARGIN``; a
-    strongly non-normal A can be rejected below that radius.
+    ``1 - |lam|^2 >= 1 / ||Sigma||_F`` for every eigenvalue lam of A_cl, an
+    accepted K has spectral radius below ``1 - FEASIBILITY_MARGIN``; a
+    strongly non-normal A_cl can be rejected below that radius.
     """
-    v = np.asarray(v, dtype=float)
-    a_cl = cov.z1_bar.dot(v)
+    k = np.asarray(k, dtype=float)
+    a_cl = model.b.dot(k) + model.a
     try:
-        sigma = _dlyap_doubling(a_cl, _eye(cov.r), _SIGMA_BOUND)
+        sigma = _dlyap_doubling(a_cl, _eye(len(a_cl)), _SIGMA_BOUND)
     except NotStable:
         raise Unstable("closed loop of the policy is not Schur stable") from None
-    k = cov.u_bar.dot(v)
     q_k = weights.q + k.T.dot(weights.r).dot(k)
-    return ClosedLoop(v=v, a_cl=a_cl, q_k=q_k, sigma=sigma)
+    return ClosedLoop(k=k, a_cl=a_cl, q_k=q_k, sigma=sigma)
 
 
-def data_cost(cov: DataCovariances, v, weights: LqrWeights) -> float:
-    """LQR cost of a decision matrix under the data-driven dynamics.
+def data_cost(model: Model, k, weights: LqrWeights) -> float:
+    """LQR cost of a gain under the least-squares model.
 
     Returns ``trace((Q + K' R K) Sigma)`` with Sigma the closed-loop state
     covariance for unit process noise, or ``inf`` when :func:`closed_loop`
-    rejects V as infeasible (infeasible policies are a value, not a crash,
+    rejects K as infeasible (infeasible policies are a value, not a crash,
     so line searches can compare them).
     """
     try:
-        return closed_loop(cov, v, weights).cost
+        return closed_loop(model, k, weights).cost
     except Unstable:
         return float("inf")
 
 
-def gradient(cov: DataCovariances, cl: ClosedLoop, weights: LqrWeights) -> np.ndarray:
-    """Exact gradient of the data-driven cost with respect to V at ``cl.v``.
+def gradient(model: Model, cl: ClosedLoop, weights: LqrWeights) -> np.ndarray:
+    """Exact gradient of the cost with respect to K at ``cl.k``.
 
     Solves the cost-to-go Lyapunov equation for P on the evaluated closed
-    loop and returns ``2 (Ubar' R Ubar + Zbar1' P Zbar1) V Sigma``.
+    loop and returns the m x r matrix ``2 (R K + B' P A_cl) Sigma``.
     """
     p = _dlyap_doubling(cl.a_cl.T, cl.q_k)
-    ru = weights.r.dot(cov.u_bar)
-    return 2.0 * (cov.u_bar.T.dot(ru) + cov.z1_bar.T.dot(p).dot(cov.z1_bar)).dot(cl.v).dot(cl.sigma)
+    return 2.0 * (weights.r.dot(cl.k) + model.b.T.dot(p).dot(cl.a_cl)).dot(cl.sigma)
 
 
 @dataclass(frozen=True)
 class Nullspace:
-    """Basis ``N = Phi^{-1}[:, :m]`` of the nullspace of Zbar0, its Gram
-    matrix ``N'N`` and its pseudo-inverse ``N+ = (N'N)^{-1} N'``.
+    """Gram matrix ``N'N`` of ``N = Phi^{-1}[:, :m]`` and its inverse.
 
     Phi N = [I; 0], so Ubar N = I and the m columns of N span the nullspace
-    of Zbar0.  The projector and the stepsize both read ``N'N``, so an
-    update builds one of these per sample and shares it.
+    of Zbar0.  ``gram_inv`` preconditions the gain step and equals
+    ``Ubar Pi Ubar'`` for the projector Pi onto that nullspace; the
+    stepsize reads ``gram``.  An update builds one of these per sample.
     """
 
-    n: np.ndarray
     gram: np.ndarray
-    n_plus: np.ndarray
+    gram_inv: np.ndarray
 
     @classmethod
     def of(cls, cov: DataCovariances) -> "Nullspace":
+        """Raises RankDeficient when N'N is singular in floating point."""
         n = cov.phi_inv[:, : cov.m]
         gram = n.T @ n  # not .dot: see the module docstring
-        return cls(n=n, gram=gram, n_plus=np.linalg.solve(gram, n.T))
-
-    def project(self, g: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ``g`` onto the nullspace of Zbar0.
-
-        Applies ``Pi = N N+`` in factored form, ``N (N+ g)``: two thin
-        products, without forming the (m + r) x (m + r) projector.  Gradient
-        steps projected this way preserve the constraint Zbar0 V = I.
-        """
-        return self.n.dot(self.n_plus.dot(g))
+        try:
+            gram_inv = np.linalg.inv(gram)
+        except np.linalg.LinAlgError:
+            raise RankDeficient("Gram matrix of the input nullspace basis is singular") from None
+        return cls(gram=gram, gram_inv=gram_inv)
 
     def stepsize(self, eta0: float):
         """Stepsize scaled by the excitation level of the data.
 
         Returns ``(eta0 / ||Ubar Pi Ubar'||, capped)`` where the norm is
-        spectral and Pi is the projector :meth:`project` applies.  The
-        denominator measures the input energy not explained
+        spectral.  The denominator measures the input energy not explained
         by the state — effectively the probing power — so steps grow when
-        probing is faint.  With Ubar N = I it equals ``||(N'N)^{-1}|| =
-        1 / lambda_min(N'N)``, read from one m x m ``eigvalsh``.  A
-        denominator below 1e-12 is capped (``capped = True``).
+        probing is faint.  It equals ``||(N'N)^{-1}|| = 1 / lambda_min(N'N)``,
+        read from one m x m ``eigvalsh``.  A denominator below 1e-12 is
+        capped (``capped = True``).
         """
         lam_min = np.linalg.eigvalsh(self.gram)[0]
         if not lam_min < 1e12:
@@ -331,19 +326,17 @@ class Nullspace:
 def initial_policy(cov: DataCovariances, weights: LqrWeights) -> np.ndarray:
     """Certainty-equivalence initial gain from the data covariances.
 
-    Reads the least-squares dynamics estimate ``[B A] = Zbar1 Phi^{-1}`` off
-    the covariances and solves the corresponding Riccati problem.  With
+    Reads the least-squares :class:`Model` off the covariances and solves
+    the corresponding Riccati problem.  With
     noise-free data the estimate is exact, so the gain matches the true
     optimum.
 
     Raises Unstabilizable when the Riccati iteration cannot converge for
     the estimated pair.
     """
-    ba = np.linalg.solve(cov.phi, cov.z1_bar.T).T
-    b_hat = ba[:, : cov.m]
-    a_hat = ba[:, cov.m :]
+    model = Model.of(cov)
     try:
-        return riccati_gain(a_hat, b_hat, weights.q, weights.r)
+        return riccati_gain(model.a, model.b, weights.q, weights.r)
     except NoConvergence as exc:
         raise Unstabilizable(
             "no stabilizing gain found for the estimated dynamics"

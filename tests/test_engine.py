@@ -11,26 +11,33 @@ import pytest
 
 import deepo.engine
 import deepo.lqr_core
-from conftest import direct_data, fit_linear_dynamics, random_minimal, random_pair
+from conftest import (
+    direct_data,
+    fit_linear_dynamics,
+    oracle_update,
+    parameterize,
+    random_minimal,
+    random_pair,
+    v_cost,
+)
 from deepo.engine import (
     DeepoConfig,
     DeepoState,
-    _decision_matrix,
     control_step,
     ingest_and_update,
     offline_init,
     offline_init_direct,
     run_online,
 )
-from deepo.errors import ConfigInvalid, InsufficientHistory, NonFinite
+from deepo.errors import ConfigInvalid, InsufficientHistory, NonFinite, RankDeficient
 from deepo.lqr_core import (
     DataCovariances,
+    Model,
     Nullspace,
     closed_loop,
     cov_update,
     data_cost,
     identity_weights,
-    parameterize,
 )
 from deepo.plant import (
     PlantModel,
@@ -133,15 +140,16 @@ def test_constraint_holds_every_step(rng):
         uc = state.gain @ zc + state.rng.standard_normal(1) * 0.01
         zn = a @ zc + b @ uc
         ingest_and_update(state, uc, zc, zn)
-        residual = np.linalg.norm(state.cov.z0_bar @ _decision_matrix(state) - np.eye(state.cov.r))
+        v = state.cov.phi_inv @ np.vstack([state.gain, np.eye(state.cov.r)])
+        residual = np.linalg.norm(state.cov.z0_bar @ v - np.eye(state.cov.r))
         assert residual <= 1e-6
         zc = zn
 
 
 def test_held_gain_step_prices_without_moving(rng):
     # update=False folds the sample into the covariances and records the
-    # cost of the held gain, priced at the decision matrix the engine reads
-    # off the updated inverse; the policy stays put.
+    # cost of the held gain, priced on the model the engine reads off the
+    # updated inverse; the policy stays put.
     a, b = random_pair(rng, 3, 2)
     u0, z0, z0_next = direct_data(rng, a, b, steps=60, noise_std=1e-3)
     state = offline_init_direct(u0, z0, z0_next, DeepoConfig(lag=1), rng_seed=2)
@@ -153,17 +161,16 @@ def test_held_gain_step_prices_without_moving(rng):
     npt.assert_array_equal(state.gain, gain)
     assert state.cov.count == count + 1
     assert record.eta is None and record.grad_norm is None
-    v = _decision_matrix(state)
-    assert record.cost == data_cost(state.cov, v, state.weights)
-    reference = parameterize(state.cov, state.gain)
-    assert np.linalg.norm(v - reference) <= 1e-10 * np.linalg.norm(reference)
+    assert record.cost == data_cost(Model.of(state.cov), state.gain, state.weights)
+    reference = v_cost(state.cov, parameterize(state.cov, state.gain), state.weights)
+    assert record.cost == pytest.approx(reference, rel=1e-10)
     assert state.records[-1] is record and state.t == count + 1
 
 
 def test_constraint_drift_repairs_the_inverse(rng):
-    # A perturbed phi_inv puts Zbar0 V off I; the first update warns once,
-    # re-inverts Phi and reads V again, and the repaired inverse is what the
-    # following updates build on.
+    # A perturbed phi_inv puts Phi Phi^-1 off I; the first update warns
+    # once, re-inverts Phi and reads the model off the repaired inverse,
+    # which is what the following updates build on.
     a, b = random_pair(rng, 3, 2)
     u0, z0, z0_next = direct_data(rng, a, b, steps=60, noise_std=1e-3)
     state = offline_init_direct(u0, z0, z0_next, DeepoConfig(lag=1), rng_seed=4)
@@ -177,7 +184,7 @@ def test_constraint_drift_repairs_the_inverse(rng):
     assert len([w for w in state.warnings if "constraint drift" in w]) == 1
     exact = np.linalg.inv(state.cov.phi)
     assert np.max(np.abs(state.cov.phi_inv - exact)) <= 1e-12 * np.max(np.abs(exact))
-    npt.assert_allclose(state.cov.z0_bar @ _decision_matrix(state), np.eye(3), rtol=0, atol=1e-9)
+    npt.assert_allclose(state.cov.phi @ state.cov.phi_inv, np.eye(5), rtol=0, atol=1e-9)
 
 
 def test_update_evaluates_each_closed_loop_once(rng, monkeypatch):
@@ -280,7 +287,7 @@ def test_backtracking_halves_an_infeasible_first_trial(rng):
     eta_base, _ = Nullspace.of(state.cov).stepsize(state.config.eta0)
     assert record.eta in [eta_base / 2**j for j in range(1, 11)]
     # The new gain is feasible: its closed loop passes the test again.
-    cl = closed_loop(state.cov, _decision_matrix(state), state.weights)
+    cl = closed_loop(Model.of(state.cov), state.gain, state.weights)
     assert cl.cost == pytest.approx(record.cost, rel=1e-9)
     assert not state.warnings
 
@@ -293,7 +300,7 @@ def test_backtracking_exhausted_holds_the_gain(rng):
     record = ingest_and_update(state, *sample)
     assert record.eta is None
     assert state.warnings == ["gradient step infeasible after backtracking at t=60"]
-    npt.assert_allclose(state.gain, gain, rtol=1e-9, atol=0)
+    npt.assert_array_equal(state.gain, gain)
     assert np.isfinite(record.cost) and record.grad_norm > 0
 
 
@@ -308,7 +315,37 @@ def test_infeasible_held_gain_is_held_at_infinite_cost(rng):
     assert state.warnings == ["infeasible parameterization at t=60; gain held"]
     assert record.cost == float("inf")
     assert record.eta is None and record.grad_norm is None
-    npt.assert_allclose(state.gain, gain, rtol=1e-9, atol=0)
+    npt.assert_array_equal(state.gain, gain)
+
+
+@pytest.mark.parametrize("steps, eta0", [(1, 1e-2), (5, 1e-2), (1, 0.1)])
+def test_update_matches_the_projected_decision_matrix_step(rng, steps, eta0):
+    # Sample by sample, the engine's gain step equals the paper's projected
+    # step on V = Phi^-1 [K; I], taken by the oracle from the same
+    # covariances and gain: one and five steps per sample, and (eta0 = 0.1)
+    # stepsizes that must be halved before the trial is feasible.
+    # Criterion 10's excitation: probing and process noise keep Phi well
+    # conditioned, so both forms round alike.
+    a, b = random_pair(rng, 4, 2)
+    u0, z0, z0_next = direct_data(rng, a, b, steps=120, noise_std=0.1)
+    cfg = DeepoConfig(lag=1, eta0=eta0, probe_std=1.0, gradient_steps_per_sample=steps)
+    state = offline_init_direct(u0, z0, z0_next, cfg, rng_seed=2)
+    zc = z0_next[:, -1].copy()
+    halved = 0
+    for _ in range(20):
+        uc = control_step(state, zc)
+        zn = a @ zc + b @ uc + 0.1 * rng.standard_normal(4)
+        cov = cov_update(state.cov, uc, zc, zn)
+        gain, cost, eta, grad_norm = oracle_update(cov, state.gain, state.weights, eta0, steps)
+        record = ingest_and_update(state, uc, zc, zn)
+        assert np.linalg.norm(state.gain - gain) <= 1e-9 * np.linalg.norm(gain)
+        assert record.cost == pytest.approx(cost, rel=1e-9)
+        assert record.eta == pytest.approx(eta, rel=1e-9)
+        assert record.grad_norm == pytest.approx(grad_norm, rel=1e-9)
+        halved += record.eta < Nullspace.of(state.cov).stepsize(eta0)[0]
+        zc = zn
+    assert not state.warnings
+    assert (halved > 0) == (eta0 == 0.1)
 
 
 def surrogate_run(seed, steps=700, policy_updates=True, update_start=None):
@@ -326,6 +363,33 @@ def surrogate_run(seed, steps=700, policy_updates=True, update_start=None):
         update_start=update_start,
     )
     return state, records
+
+
+@pytest.mark.parametrize("fault", ["stuck", "dead"])
+def test_sensor_fault_ends_in_a_typed_error(fault):
+    # The README quickstart loop with its sensor stuck at the output of
+    # step 700, or reading zero from step 700 on.  The loop the controller
+    # sees diverges until a per-sample inversion (Phi on the drift repair,
+    # or N'N) fails; that must reach the caller as a DeepoError, not as a
+    # bare numpy LinAlgError.
+    model, schedule = make_surrogate_converter(rng_seed=7)
+    plant = SwitchingPlant(model, schedule, kicks=[(100, [1.0, 0.0, 0.0, 0.0])])
+    state = DeepoState.fresh(DeepoConfig(lag=2, r_override=8, q_mode="window"), m=model.m, rng_seed=1)
+    stuck = []
+
+    def sensor(u):
+        y = plant.step(u)
+        if state.t < 700:
+            return y
+        if fault == "dead":
+            return np.zeros_like(y)
+        stuck.append(y)
+        return stuck[0]
+
+    with pytest.raises(RankDeficient):
+        run_online(state, sensor, steps=1100, activation_step=500, excitation_start=200)
+    assert 700 < state.t < 1100
+    assert any("constraint drift" in w for w in state.warnings)
 
 
 def test_run_online_timeline_and_determinism():

@@ -1,4 +1,5 @@
-"""Covariance bookkeeping, the data-driven cost/gradient, and projections."""
+"""Covariance bookkeeping, the data-driven cost/gradient, and the gain step
+against the decision-matrix form of the update."""
 
 import warnings
 
@@ -6,12 +7,21 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import direct_data, random_pair
+from conftest import (
+    direct_data,
+    parameterize,
+    projector,
+    random_pair,
+    recover_gain,
+    v_cost,
+    v_gradient,
+)
 from deepo.errors import DimensionMismatch, RankDeficient, Unstable, Unstabilizable
 from deepo.lqr_core import (
     FEASIBILITY_MARGIN,
     DataCovariances,
     LqrWeights,
+    Model,
     Nullspace,
     _eye,
     closed_loop,
@@ -21,17 +31,14 @@ from deepo.lqr_core import (
     gradient,
     identity_weights,
     initial_policy,
-    parameterize,
-    recover_gain,
 )
 from deepo.numerics import spectral_radius
 from deepo.plant import lqr_cost, model_lqr_gain
 
 
-def projector(cov):
-    """The projector Nullspace.project applies, as a symmetrized matrix."""
-    pi = Nullspace.of(cov).project(np.eye(cov.m + cov.r))
-    return 0.5 * (pi + pi.T)
+def preconditioned_gradient(model, nullspace, k, weights):
+    """The engine's gain step direction, ``(N'N)^{-1} grad_K J``."""
+    return nullspace.gram_inv @ gradient(model, closed_loop(model, k, weights), weights)
 
 
 @pytest.fixture
@@ -108,15 +115,15 @@ def test_cov_update_single_sample_formula():
 
 
 def test_parameterize_recover_roundtrip(batch, rng):
+    # The decision-matrix oracle: V = Phi^-1 [K; I] meets the constraint,
+    # encodes K, and closes the loop through the least-squares model.
     _, _, cov, _ = batch
     k = rng.standard_normal((cov.m, cov.r))
     v = parameterize(cov, k)
     npt.assert_allclose(recover_gain(cov, v), k, atol=1e-9)
     npt.assert_allclose(cov.z0_bar @ v, np.eye(cov.r), atol=1e-9)
-    with pytest.raises(DimensionMismatch):
-        parameterize(cov, np.zeros((cov.m, cov.r + 1)))
-    with pytest.raises(DimensionMismatch):
-        recover_gain(cov, v[:-1])
+    model = Model.of(cov)
+    npt.assert_allclose(cov.z1_bar @ v, model.a + model.b @ k, rtol=0, atol=1e-12 * np.linalg.norm(v))
 
 
 def test_data_cost_noiseless_matches_model_cost(rng):
@@ -126,27 +133,40 @@ def test_data_cost_noiseless_matches_model_cost(rng):
     cov = cov_init(u, z, z_next)
     weights = identity_weights(3, 2)
     k = model_lqr_gain(a, b, weights.q, weights.r)
-    v = parameterize(cov, k)
     expected = lqr_cost(a, b, k, weights.q, weights.r)
-    assert data_cost(cov, v, weights) == pytest.approx(expected, rel=1e-8)
+    assert data_cost(Model.of(cov), k, weights) == pytest.approx(expected, rel=1e-8)
 
 
-def infeasible_point(cov):
+def infeasible_point(model):
     # Scale the gain until the data-driven closed loop leaves the unit disc.
     for scale in (1e2, 1e4, 1e6, 1e8):
-        v = parameterize(cov, scale * np.ones((cov.m, cov.r)))
-        if spectral_radius(cov.z1_bar @ v) >= 1.0:
-            return v
+        k = scale * np.ones((model.b.shape[1], len(model.a)))
+        if spectral_radius(model.a + model.b @ k) >= 1.0:
+            return k
     raise AssertionError("could not construct an infeasible policy")
 
 
 def test_data_cost_infeasible_is_inf(batch):
     _, _, cov, _ = batch
     weights = identity_weights(cov.r, cov.m)
-    assert data_cost(cov, infeasible_point(cov), weights) == np.inf
+    model = Model.of(cov)
+    assert data_cost(model, infeasible_point(model), weights) == np.inf
+
+
+def _finite_difference(cost, x, h=1e-6):
+    fd = np.zeros_like(x)
+    for i in range(x.shape[0]):
+        for j in range(x.shape[1]):
+            xp, xm = x.copy(), x.copy()
+            xp[i, j] += h
+            xm[i, j] -= h
+            fd[i, j] = (cost(xp) - cost(xm)) / (2 * h)
+    return fd
 
 
 def test_gradient_matches_finite_difference(rng):
+    # The decision-matrix oracle's own check: its V gradient is the
+    # derivative of its V cost.
     a, b = random_pair(rng, 2, 1)
     u, z, z_next = direct_data(rng, a, b, steps=60, noise_std=1e-3)
     cov = cov_init(u, z, z_next)
@@ -159,25 +179,40 @@ def test_gradient_matches_finite_difference(rng):
         if spectral_radius(cov.z1_bar @ v) >= 0.95:
             continue
         checked += 1
-        g = gradient(cov, closed_loop(cov, v, weights), weights)
-        h = 1e-6
-        fd = np.zeros_like(v)
-        for i in range(v.shape[0]):
-            for j in range(v.shape[1]):
-                vp, vm = v.copy(), v.copy()
-                vp[i, j] += h
-                vm[i, j] -= h
-                fd[i, j] = (data_cost(cov, vp, weights) - data_cost(cov, vm, weights)) / (2 * h)
-        npt.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
+        fd = _finite_difference(lambda x: v_cost(cov, x, weights), v)
+        npt.assert_allclose(v_gradient(cov, v, weights), fd, rtol=1e-5, atol=1e-8)
     assert checked >= 2
 
 
+def test_gain_gradient_matches_finite_difference(rng):
+    # grad_K J = 2 (R K + B' P A_cl) Sigma is the derivative of data_cost
+    # in K, at gains around the certainty-equivalence one.
+    checked = 0
+    for trial in range(8):
+        r, m = 2 + trial % 3, 1 + trial % 2
+        a, b = random_pair(rng, r, m)
+        u, z, z_next = direct_data(rng, a, b, steps=30 * (m + r), noise_std=1e-3)
+        cov = cov_init(u, z, z_next)
+        model = Model.of(cov)
+        weights = identity_weights(r, m)
+        k = initial_policy(cov, weights) + 0.05 * rng.standard_normal((m, r))
+        if spectral_radius(model.a + model.b @ k) >= 0.95:
+            continue
+        checked += 1
+        g = gradient(model, closed_loop(model, k, weights), weights)
+        assert g.shape == (m, r)
+        fd = _finite_difference(lambda x: data_cost(model, x, weights), k)
+        npt.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
+    assert checked >= 6
+
+
 def test_gradient_unstable_raises(batch):
-    # An infeasible V has no closed-loop evaluation, so no gradient either.
+    # An infeasible K has no closed-loop evaluation, so no gradient either.
     _, _, cov, _ = batch
     weights = identity_weights(cov.r, cov.m)
+    model = Model.of(cov)
     with pytest.raises(Unstable):
-        closed_loop(cov, infeasible_point(cov), weights)
+        closed_loop(model, infeasible_point(model), weights)
 
 
 def test_closed_loop_prices_like_data_cost(batch):
@@ -185,24 +220,35 @@ def test_closed_loop_prices_like_data_cost(batch):
     # solves the closed-loop Lyapunov equation.
     _, _, cov, _ = batch
     weights = identity_weights(cov.r, cov.m)
-    v = parameterize(cov, initial_policy(cov, weights))
-    cl = closed_loop(cov, v, weights)
-    assert cl.cost == data_cost(cov, v, weights)
-    npt.assert_array_equal(cl.a_cl, cov.z1_bar @ v)
+    model = Model.of(cov)
+    k = initial_policy(cov, weights)
+    cl = closed_loop(model, k, weights)
+    assert cl.cost == data_cost(model, k, weights)
+    npt.assert_array_equal(cl.a_cl, model.b.dot(k) + model.a)
     residual = cl.sigma - np.eye(cov.r) - cl.a_cl @ cl.sigma @ cl.a_cl.T
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(cl.sigma)
+    # The cost the decision-matrix oracle gives V = Phi^-1 [K; I].
+    assert cl.cost == pytest.approx(v_cost(cov, parameterize(cov, k), weights), rel=1e-10)
 
 
-def test_nullspace_projection_properties(batch):
+def test_nullspace_projection_properties(batch, rng):
+    # The oracle's projector is the orthogonal projector onto the nullspace
+    # of Zbar0, and Ubar Pi carries the V gradient to the engine's step:
+    # Ubar Pi grad_V J = (N'N)^-1 grad_K J, with ||Pi grad_V J||_F read off
+    # the Gram matrix.
     _, _, cov, _ = batch
     pi = projector(cov)
     npt.assert_allclose(pi, pi.T, atol=1e-12)
     npt.assert_allclose(pi @ pi, pi, atol=1e-10)
     npt.assert_allclose(cov.z0_bar @ pi, np.zeros((cov.r, cov.m + cov.r)), atol=1e-9)
     assert np.trace(pi) == pytest.approx(cov.m, abs=1e-8)
-    # The update applies the same projector in factored form.
-    g = np.random.default_rng(5).standard_normal((cov.m + cov.r, cov.r))
-    npt.assert_allclose(Nullspace.of(cov).project(g), pi @ g, rtol=0, atol=1e-12 * np.linalg.norm(g))
+    weights = identity_weights(cov.r, cov.m)
+    model, nullspace = Model.of(cov), Nullspace.of(cov)
+    k = initial_policy(cov, weights) + 0.05 * rng.standard_normal((cov.m, cov.r))
+    pg = pi @ v_gradient(cov, parameterize(cov, k), weights)
+    step = preconditioned_gradient(model, nullspace, k, weights)
+    assert np.linalg.norm(cov.u_bar @ pg - step) <= 1e-10 * np.linalg.norm(step)
+    assert np.sqrt(np.vdot(step, nullspace.gram @ step)) == pytest.approx(np.linalg.norm(pg), rel=1e-10)
 
 
 def test_cached_identity_is_shared_and_read_only():
@@ -217,14 +263,8 @@ def test_cached_identity_is_shared_and_read_only():
         npt.assert_array_equal(eye, np.eye(n))
 
 
-def _loop_covariances(a, b):
-    # Phi = I, so V = [K; I] meets Zbar0 V = I and its closed loop is A + B K.
-    r, m = b.shape
-    return DataCovariances(phi=np.eye(m + r), phi_inv=np.eye(m + r), z1_bar=np.hstack([b, a]), count=10)
-
-
 def test_closed_loop_feasibility_against_eigenvalues(rng):
-    # Every V is either accepted with spectral radius below 1 - margin (the
+    # Every K is either accepted with spectral radius below 1 - margin (the
     # eigvals oracle) or rejected as Unstable, without a RuntimeWarning.
     r, m = 3, 1
     weights = identity_weights(r, m)
@@ -248,7 +288,7 @@ def test_closed_loop_feasibility_against_eigenvalues(rng):
         warnings.simplefilter("error", RuntimeWarning)
         for a, k in cases:
             try:
-                cl = closed_loop(_loop_covariances(a, b), np.vstack([k, np.eye(r)]), weights)
+                cl = closed_loop(Model(b=b, a=a), k, weights)
             except Unstable:
                 verdicts.append(False)
                 continue
@@ -261,31 +301,37 @@ def test_closed_loop_feasibility_against_eigenvalues(rng):
 
 @pytest.mark.parametrize("recursive", [False, True])
 def test_projector_and_stepsize_match_pseudoinverse_formulas(batch, recursive):
-    # Also after 60 Sherman-Morrison updates of phi_inv.
+    # gram_inv = Ubar Pi Ubar' for the pseudo-inverse projector Pi, also
+    # after 60 Sherman-Morrison updates of phi_inv.
     _, _, cov, (u, z, z_next) = batch
     if recursive:
         cov = cov_init(u[:, :60], z[:, :60], z_next[:, :60])
         for t in range(60, u.shape[1]):
             cov = cov_update(cov, u[:, t], z[:, t], z_next[:, t])
-    reference = np.eye(cov.m + cov.r) - np.linalg.pinv(cov.z0_bar) @ cov.z0_bar
-    pi = projector(cov)
-    assert np.linalg.norm(pi - reference) <= 1e-10 * np.linalg.norm(reference)
-    denom = np.linalg.norm(cov.u_bar @ reference @ cov.u_bar.T, ord=2)
-    eta, capped = Nullspace.of(cov).stepsize(1e-3)
+    reference = cov.u_bar @ projector(cov) @ cov.u_bar.T
+    nullspace = Nullspace.of(cov)
+    assert np.linalg.norm(nullspace.gram_inv - reference) <= 1e-10 * np.linalg.norm(reference)
+    eta, capped = nullspace.stepsize(1e-3)
     assert not capped
-    assert eta == pytest.approx(1e-3 / denom, rel=1e-10)
+    assert eta == pytest.approx(1e-3 / np.linalg.norm(reference, ord=2), rel=1e-10)
 
 
 def test_projected_step_preserves_constraint(batch, rng):
+    # Five projected steps on V stay on Zbar0 V = I and encode, step by
+    # step, the gains of five preconditioned steps on K.
     _, _, cov, _ = batch
     weights = identity_weights(cov.r, cov.m)
-    v = parameterize(cov, initial_policy(cov, weights))
+    k = initial_policy(cov, weights)
+    v = parameterize(cov, k)
     pi = projector(cov)
-    eta, capped = Nullspace.of(cov).stepsize(1e-3)
+    model, nullspace = Model.of(cov), Nullspace.of(cov)
+    eta, capped = nullspace.stepsize(1e-3)
     assert not capped
     for _ in range(5):
-        v = v - eta * (pi @ gradient(cov, closed_loop(cov, v, weights), weights))
+        v = v - eta * (pi @ v_gradient(cov, v, weights))
+        k = k - eta * preconditioned_gradient(model, nullspace, k, weights)
         npt.assert_allclose(cov.z0_bar @ v, np.eye(cov.r), atol=1e-8)
+        assert np.linalg.norm(recover_gain(cov, v) - k) <= 1e-9 * np.linalg.norm(k)
 
 
 def test_adaptive_stepsize_scales_with_eta0(batch):
@@ -313,8 +359,8 @@ def test_adaptive_stepsize_caps_without_excitation():
 
 
 def test_descent_until_stationary(rng):
-    # Frozen data: repeated projected steps never increase the cost, down to
-    # a vanishing projected gradient.
+    # Frozen data: repeated preconditioned steps never increase the cost,
+    # down to a vanishing projected gradient.
     systems = 0
     draws = np.random.default_rng(777)
     while systems < 20:
@@ -327,16 +373,17 @@ def test_descent_until_stationary(rng):
         except RankDeficient:
             continue
         weights = identity_weights(r, m)
-        v = parameterize(cov, initial_policy(cov, weights))
-        pi = projector(cov)
-        eta, _ = Nullspace.of(cov).stepsize(1e-3)
-        costs = [data_cost(cov, v, weights)]
+        k = initial_policy(cov, weights)
+        model, nullspace = Model.of(cov), Nullspace.of(cov)
+        eta, _ = nullspace.stepsize(1e-3)
+        costs = [data_cost(model, k, weights)]
         for _ in range(400):
-            step = pi @ gradient(cov, closed_loop(cov, v, weights), weights)
-            if np.linalg.norm(step) < 1e-8:
+            step = preconditioned_gradient(model, nullspace, k, weights)
+            # ||Pi grad_V J||_F, the size of the projected step on V
+            if np.sqrt(np.vdot(step, nullspace.gram @ step)) < 1e-8:
                 break
-            v = v - eta * step
-            costs.append(data_cost(cov, v, weights))
+            k = k - eta * step
+            costs.append(data_cost(model, k, weights))
         diffs = np.diff(costs)
         assert np.all(diffs <= 1e-10), f"cost increased by {diffs.max():.3g}"
         systems += 1
@@ -363,8 +410,9 @@ def test_initial_policy_unstabilizable_estimate():
 
 
 def test_decision_matrix_off_recursive_inverse_tracks_full_solve(rng):
-    # Reading V = Phi^-1 [K; I] off the Sherman-Morrison inverse, sample by
-    # sample, equals re-solving Phi V = [K; I].
+    # Reading V = Phi^-1 [K; I] and the model [B A] = Zbar1 Phi^-1 off the
+    # Sherman-Morrison inverse, sample by sample, equals solving with Phi
+    # itself.
     a, b = random_pair(rng, 3, 2)
     u, z, z_next = direct_data(rng, a, b, steps=300, noise_std=1e-2)
     cov = cov_init(u[:, :60], z[:, :60], z_next[:, :60])
@@ -374,6 +422,9 @@ def test_decision_matrix_off_recursive_inverse_tracks_full_solve(rng):
         cov = cov_update(cov, u[:, t], z[:, t], z_next[:, t])
         v = cov.phi_inv @ np.vstack([k, np.eye(3)])
         k = recover_gain(cov, v)
+        model = Model.of(cov)
+        ba = np.linalg.solve(cov.phi, cov.z1_bar.T).T
+        npt.assert_allclose(np.hstack([model.b, model.a]), ba, rtol=0, atol=1e-9)
     direct = parameterize(cov, k)
     npt.assert_allclose(v, direct, atol=1e-9)
     npt.assert_allclose(cov.z0_bar @ v, np.eye(3), atol=1e-9)

@@ -10,7 +10,7 @@ from conftest import random_pair
 from deepo import harness
 from deepo.engine import DeepoState, offline_init, run_online
 from deepo.errors import NoConvergence, NotStable, NotSymmetric, Unstabilizable
-from deepo.lqr_core import DataCovariances, LqrWeights, initial_policy
+from deepo.lqr_core import DataCovariances, LqrWeights, Model, initial_policy
 from deepo.numerics import (
     numerical_rank,
     riccati_gain,
@@ -235,9 +235,8 @@ def _converter_certainty_equivalence_problem():
     )
     window = state.history.window(config.excitation_start, config.activation_step)
     fitted = offline_init(window, config.deepo)
-    cov = fitted.cov
-    ba = np.linalg.solve(cov.phi, cov.z1_bar.T).T
-    return ba[:, cov.m :], ba[:, : cov.m], fitted.weights, fitted.initial_gain
+    model = Model.of(fitted.cov)
+    return model.a, model.b, fitted.weights, fitted.initial_gain
 
 
 def test_riccati_doubling_step_budget():
