@@ -16,7 +16,7 @@ import json
 import sys
 
 from .acceptance import run_acceptance
-from .errors import DeepoError
+from .errors import ConfigInvalid, DeepoError
 from .harness import (
     bundled_scenarios,
     load_scenario,
@@ -104,6 +104,8 @@ def _cmd_accept(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigInvalid(f"--seed: must be >= 0, got {args.seed}")
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "adapt":

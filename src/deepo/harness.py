@@ -1,12 +1,16 @@
 """Scenario harness: JSON configs, timeline runner, traces, and summaries.
 
-A scenario drives a plant through a timeline of idle -> disturbance/switch ->
-excitation -> controller activation, logs one CSV row per sample, and
+A scenario drives one plant through a timeline of idle -> disturbance/switch
+-> excitation -> controller activation, logs one CSV row per sample, and
 condenses the run into a JSON summary (oscillation RMS before activation,
-output RMS after, envelope decay, per-step timing).  The adaptation runner
-executes the same scenario twice from identical seeds — once with the gain
-frozen at its initial value, once updating online — and compares the two
-after a late disturbance.
+output RMS after, envelope decay, per-step timing).  Parsing resolves the
+plant to its matrices (a, b, c) and every change of its dynamics
+(``switch_step``, ``switches``, ``perturbation``) to a
+:class:`~deepo.plant.SwitchEvent`, so a run is one plant, one schedule and
+:func:`~deepo.engine.run_online`.  The adaptation runner executes the same
+scenario twice from identical seeds — once with the gain frozen at its
+initial value, once updating online — and compares the two after a late
+disturbance.
 """
 
 from __future__ import annotations
@@ -20,16 +24,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import DeepoConfig, DeepoState, StepRecord, run_online
+from .engine import DeepoConfig, DeepoState, run_online
 from .errors import ConfigInvalid
 from .plant import (
     PlantModel,
     SwitchEvent,
     SwitchSchedule,
     SwitchingPlant,
-    make_surrogate_converter,
     surrogate_io_matrices,
     surrogate_nominal_dynamics,
+    surrogate_oscillatory_dynamics,
     surrogate_perturbed_dynamics,
 )
 
@@ -43,35 +47,29 @@ class Disturbance:
 
 
 @dataclass
-class Perturbation:
-    """Mid-run dynamics drift for adaptation scenarios."""
-
-    step: int
-    mode: str = "surrogate_perturbed"
-    a: list | None = None
-    b: list | None = None
-    c: list | None = None
-
-
-@dataclass
 class ScenarioConfig:
-    """Validated scenario description (see the bundled JSON files)."""
+    """Validated scenario description (see the bundled JSON files).
+
+    ``plant`` holds the initial matrices (a, b, c).  ``switches`` holds the
+    dynamics changes every run applies (``switch_step`` of the surrogate
+    among them); ``perturbation`` is the mid-run drift an adaptation
+    comparison is anchored to, applied by every run as well.
+    """
 
     name: str
     trajectory_length: int
     excitation_start: int
     activation_step: int
     deepo: DeepoConfig
+    plant: tuple[np.ndarray, np.ndarray, np.ndarray]
     rng_seed: int = 0
-    plant: str | dict = "surrogate_converter"
     process_noise_std: float = 2e-4
     measurement_noise_std: float = 0.0
-    switch_step: int | None = None
     switches: list[SwitchEvent] = field(default_factory=list)
     disturbances: list[Disturbance] = field(default_factory=list)
     control_enabled: bool = True
     update_start: int | None = None
-    perturbation: Perturbation | None = None
+    perturbation: SwitchEvent | None = None
     comparison_window: int = 300
 
 
@@ -102,11 +100,15 @@ def _check_system(system, fieldname, like=None):
         raise ConfigInvalid(f"{fieldname}: {exc}") from None
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
     """Validate a scenario dictionary, reporting the offending field."""
     _require(isinstance(raw, dict), "scenario", "must be a JSON object")
     _require(raw.get("schema") == SCHEMA_VERSION, "schema", f"must be {SCHEMA_VERSION}")
-    unknown = set(raw) - {f.name for f in fields(ScenarioConfig)} - {"schema"}
+    unknown = set(raw) - {f.name for f in fields(ScenarioConfig)} - {"schema", "switch_step"}
     _require(not unknown, "scenario", f"unknown keys {sorted(unknown)}")
     name = raw.get("name", name)
     _require(isinstance(name, str) and name, "name", "must be a nonempty string")
@@ -115,7 +117,7 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
         value = raw.get(key, default)
         if value is None and optional:
             return None
-        _require(isinstance(value, int) and not isinstance(value, bool), key, "must be an integer")
+        _require(_is_int(value), key, "must be an integer")
         if minimum is not None:
             _require(value >= minimum, key, f"must be >= {minimum}")
         return value
@@ -134,49 +136,56 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
     _require(excitation_start < activation, "excitation_start", "must precede activation_step")
     _require(activation <= length, "activation_step", "must lie within trajectory_length")
 
+    def event_step(key, step):
+        _require(_is_int(step) and step >= 0, key, "must be a nonnegative integer")
+        _require(step < length, key, f"must lie below trajectory_length {length}")
+        return step
+
     plant = raw.get("plant", "surrogate_converter")
     if isinstance(plant, str):
         _require(plant == "surrogate_converter", "plant", "unknown plant name")
         system = (surrogate_nominal_dynamics(), *surrogate_io_matrices())
     else:
         _require(isinstance(plant, dict), "plant", "must be a name or an {a, b, c} object")
-        plant = {key: _matrix_field(plant.get(key), f"plant.{key}") for key in ("a", "b", "c")}
-        system = (plant["a"], plant["b"], plant["c"])
+        system = tuple(_matrix_field(plant.get(key), f"plant.{key}") for key in ("a", "b", "c"))
         _check_system(system, "plant")
+        _require(raw.get("switch_step") is None, "switch_step", "switches only the surrogate plant")
     n_states = system[0].shape[0]
-    switch_step = intfield("switch_step", default=None, minimum=0, optional=True)
-    # Steps already holding a dynamics switch (switch_step drives only the surrogate).
-    taken = {switch_step} if isinstance(plant, str) and switch_step is not None else set()
+    taken = set()
+
+    def switch(key, entry, surrogate_a=None, step_key=None):
+        # One dynamics change of the plant: at entry["step"] to surrogate_a
+        # with the surrogate couplings, or to the entry's own a, b, c.
+        step_key = step_key or f"{key}.step"
+        step = event_step(step_key, entry.get("step"))
+        _require(step not in taken, step_key, f"another switch is scheduled at step {step}")
+        taken.add(step)
+        if surrogate_a is None:
+            matrices = tuple(_matrix_field(entry.get(k), f"{key}.{k}") for k in ("a", "b", "c"))
+        else:
+            matrices = (surrogate_a, *surrogate_io_matrices())
+        _check_system(matrices, key, like=system)
+        return SwitchEvent(step, *matrices)
 
     deepo_raw = raw.get("deepo")
     _require(isinstance(deepo_raw, dict), "deepo", "must be an object")
     deepo_cfg = DeepoConfig.from_dict(deepo_raw, "deepo")
 
     switches = []
+    if raw.get("switch_step") is not None:
+        entry = {"step": raw["switch_step"]}
+        switches.append(switch("switch_step", entry, surrogate_oscillatory_dynamics(), step_key="switch_step"))
     _require(isinstance(raw.get("switches", []), list), "switches", "must be a list")
     for idx, entry in enumerate(raw.get("switches", [])):
-        key = f"switches[{idx}]"
-        _require(isinstance(entry, dict), key, "must be an object")
-        step = entry.get("step")
-        _require(isinstance(step, int) and step >= 0, f"{key}.step", "must be a nonnegative integer")
-        _require(step not in taken, f"{key}.step", f"another switch is scheduled at step {step}")
-        taken.add(step)
-        event = SwitchEvent(
-            step=step,
-            a=_matrix_field(entry.get("a"), f"{key}.a"),
-            b=_matrix_field(entry.get("b"), f"{key}.b"),
-            c=_matrix_field(entry.get("c"), f"{key}.c"),
-        )
-        _check_system((event.a, event.b, event.c), key, like=system)
-        switches.append(event)
+        _require(isinstance(entry, dict), f"switches[{idx}]", "must be an object")
+        switches.append(switch(f"switches[{idx}]", entry))
 
     disturbances = []
     _require(isinstance(raw.get("disturbances", []), list), "disturbances", "must be a list")
     for idx, entry in enumerate(raw.get("disturbances", [])):
         key = f"disturbances[{idx}]"
         _require(isinstance(entry, dict), key, "must be an object")
-        step = entry.get("step")
-        _require(isinstance(step, int) and step >= 0, f"{key}.step", "must be a nonnegative integer")
+        step = event_step(f"{key}.step", entry.get("step"))
         delta = entry.get("state_delta")
         _require(
             isinstance(delta, list)
@@ -187,37 +196,35 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
         )
         disturbances.append(Disturbance(step=step, state_delta=[float(x) for x in delta]))
 
-    perturbation = None
-    if raw.get("perturbation") is not None:
-        entry = raw["perturbation"]
-        _require(isinstance(entry, dict), "perturbation", "must be an object")
-        step = entry.get("step")
-        _require(isinstance(step, int) and step >= 0, "perturbation.step", "must be a nonnegative integer")
-        _require(step not in taken, "perturbation.step", f"another switch is scheduled at step {step}")
-        mode = entry.get("mode", "surrogate_perturbed")
-        if mode == "explicit":
-            drifted = tuple(_matrix_field(entry.get(key), f"perturbation.{key}") for key in ("a", "b", "c"))
-            perturbation = Perturbation(step, mode, *(mat.tolist() for mat in drifted))
-        else:
-            _require(mode == "surrogate_perturbed", "perturbation.mode", "unknown mode")
-            drifted = (surrogate_perturbed_dynamics(), *surrogate_io_matrices())
-            perturbation = Perturbation(step=step, mode=mode)
-        _check_system(drifted, "perturbation", like=system)
+    perturbation = raw.get("perturbation")
+    if perturbation is not None:
+        _require(isinstance(perturbation, dict), "perturbation", "must be an object")
+        mode = perturbation.get("mode", "surrogate_perturbed")
+        _require(mode in ("surrogate_perturbed", "explicit"), "perturbation.mode", "unknown mode")
+        drifted = surrogate_perturbed_dynamics() if mode == "surrogate_perturbed" else None
+        perturbation = switch("perturbation", perturbation, drifted)
 
     control_enabled = raw.get("control_enabled", True)
     _require(isinstance(control_enabled, bool), "control_enabled", "must be a boolean")
+    if control_enabled:
+        window = activation - excitation_start - deepo_cfg.lag
+        needed = 2 * (system[1].shape[1] + system[2].shape[0]) * deepo_cfg.lag
+        _require(
+            window >= needed,
+            "activation_step",
+            f"excitation window provides {window} windows but initialization needs {needed}",
+        )
 
-    config = ScenarioConfig(
+    return ScenarioConfig(
         name=name,
         trajectory_length=length,
         excitation_start=excitation_start,
         activation_step=activation,
         deepo=deepo_cfg,
+        plant=system,
         rng_seed=intfield("rng_seed", default=0, minimum=0),
-        plant=plant,
         process_noise_std=floatfield("process_noise_std", 2e-4, minimum=0.0),
         measurement_noise_std=floatfield("measurement_noise_std", 0.0, minimum=0.0),
-        switch_step=switch_step,
         switches=switches,
         disturbances=disturbances,
         control_enabled=control_enabled,
@@ -225,22 +232,6 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
         perturbation=perturbation,
         comparison_window=intfield("comparison_window", default=300, minimum=1),
     )
-    if control_enabled:
-        window = activation - excitation_start - deepo_cfg.lag
-        m, p = _plant_channels(config)
-        needed = 2 * (m + p) * deepo_cfg.lag
-        _require(
-            window >= needed,
-            "activation_step",
-            f"excitation window provides {window} windows but initialization needs {needed}",
-        )
-    return config
-
-
-def _plant_channels(config: ScenarioConfig):
-    if isinstance(config.plant, str):
-        return 2, 2
-    return config.plant["b"].shape[1], config.plant["c"].shape[0]
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -270,66 +261,44 @@ def bundled_scenarios() -> list[str]:
     return sorted(p.name[:-5] for p in folder.iterdir() if p.name.endswith(".json"))
 
 
-def _build_plant(config: ScenarioConfig, perturbed: bool = False) -> SwitchingPlant:
+def _build_plant(config: ScenarioConfig) -> SwitchingPlant:
     seeds = np.random.SeedSequence(config.rng_seed).spawn(2)
-    if isinstance(config.plant, str):
-        plant, schedule = make_surrogate_converter(
-            process_noise_std=config.process_noise_std,
-            measurement_noise_std=config.measurement_noise_std,
-            rng_seed=seeds[0],
-            switch_step=config.switch_step if config.switch_step is not None else 0,
-        )
-        events = list(schedule.events) if config.switch_step is not None else []
-    else:
-        plant = PlantModel(
-            config.plant["a"],
-            config.plant["b"],
-            config.plant["c"],
-            process_noise_std=config.process_noise_std,
-            measurement_noise_std=config.measurement_noise_std,
-            rng_seed=seeds[0],
-        )
-        events = []
-    events.extend(config.switches)
-    if perturbed and config.perturbation is not None:
-        pert = config.perturbation
-        if pert.mode == "surrogate_perturbed":
-            b, c = surrogate_io_matrices()
-            events.append(SwitchEvent(step=pert.step, a=surrogate_perturbed_dynamics(), b=b, c=c))
-        else:
-            events.append(
-                SwitchEvent(
-                    step=pert.step,
-                    a=np.array(pert.a, dtype=float),
-                    b=np.array(pert.b, dtype=float),
-                    c=np.array(pert.c, dtype=float),
-                )
-            )
-    events.sort(key=lambda e: e.step)
+    plant = PlantModel(
+        *config.plant,
+        process_noise_std=config.process_noise_std,
+        measurement_noise_std=config.measurement_noise_std,
+        rng_seed=seeds[0],
+    )
+    events = config.switches + ([config.perturbation] if config.perturbation is not None else [])
     kicks = [(d.step, np.array(d.state_delta, dtype=float)) for d in config.disturbances]
-    return SwitchingPlant(plant, SwitchSchedule(events), kicks=kicks)
+    return SwitchingPlant(plant, SwitchSchedule(sorted(events, key=lambda e: e.step)), kicks=kicks)
 
 
 def _engine_seed(config: ScenarioConfig) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(config.rng_seed).spawn(2)[1])
 
 
-def _run_uncontrolled(config: ScenarioConfig, splant: SwitchingPlant) -> list[StepRecord]:
-    # Timeline without controller activation: idle outside the excitation
-    # window, excitation inside it, never initialize.
-    rng = _engine_seed(config)
-    m = splant.plant.m
-    records = []
-    for t in range(config.trajectory_length):
-        if config.excitation_start <= t < config.activation_step:
-            u = rng.uniform(-config.deepo.excitation_amp, config.deepo.excitation_amp, m)
-            mode = "excite"
-        else:
-            u = np.zeros(m)
-            mode = "idle"
-        y = splant.step(u)
-        records.append(StepRecord(t=t, mode=mode, u=u, y=y))
-    return records
+def _run(config: ScenarioConfig, update_start: int | None, policy_updates: bool = True):
+    """Run the timeline once from the scenario's seeds; returns (records, state)."""
+    splant = _build_plant(config)
+    state = DeepoState.fresh(config.deepo, splant.plant.m, _engine_seed(config))
+    length = config.trajectory_length
+    if config.control_enabled:
+        run_online(
+            state,
+            splant,
+            length,
+            config.activation_step,
+            excitation_start=config.excitation_start,
+            policy_updates=policy_updates,
+            update_start=update_start,
+        )
+    else:
+        # Activation at the horizon never comes: excite up to the scenario's
+        # activation step, then idle (excitation "starting" at the horizon).
+        run_online(state, splant, config.activation_step, length, excitation_start=config.excitation_start)
+        run_online(state, splant, length - config.activation_step, length, excitation_start=length)
+    return state.records, state
 
 
 @dataclass
@@ -376,10 +345,7 @@ def _rms_per_channel(records, start, stop):
 
 
 def _oscillation_start(config: ScenarioConfig) -> int:
-    steps = [e.step for e in config.switches]
-    if config.switch_step is not None:
-        steps.append(config.switch_step)
-    steps.extend(d.step for d in config.disturbances)
+    steps = [e.step for e in config.switches] + [d.step for d in config.disturbances]
     steps = [s for s in steps if s < config.excitation_start]
     return min(steps) if steps else 0
 
@@ -396,7 +362,7 @@ def _envelope_ratio(records, start, stop) -> float | None:
     return last / first
 
 
-def summarize_run(config: ScenarioConfig, records, state: DeepoState | None) -> RunSummary:
+def summarize_run(config: ScenarioConfig, records, state: DeepoState) -> RunSummary:
     osc_start = _oscillation_start(config)
     pre = _rms_per_channel(records, osc_start, config.excitation_start)
     post_stop = min(config.activation_step + config.comparison_window, config.trajectory_length)
@@ -407,7 +373,7 @@ def summarize_run(config: ScenarioConfig, records, state: DeepoState | None) -> 
     decision_us = list(step_us.values())
     return RunSummary(
         name=config.name,
-        reduced_dim=None if state is None or state.map is None else state.map.reduced_dim,
+        reduced_dim=None if state.map is None else state.map.reduced_dim,
         pre_rms=None if pre is None else [float(x) for x in pre],
         post_rms=None if post is None else [float(x) for x in post],
         pre_rms_total=None if pre is None else float(np.sqrt(np.mean(pre**2))),
@@ -417,7 +383,7 @@ def summarize_run(config: ScenarioConfig, records, state: DeepoState | None) -> 
         mean_step_us=float(np.mean(decision_us)) if decision_us else None,
         max_step_us=float(np.max(decision_us)) if decision_us else None,
         activation_us=activation_us,
-        warnings=list(state.warnings) if state is not None else [],
+        warnings=list(state.warnings),
     )
 
 
@@ -449,19 +415,20 @@ def write_trace_csv(path, records, m: int, p: int, r: int):
             writer.writerow(row)
 
 
-def _write_outputs(config, records, state, summary_dict, out_dir, write_csv_flag, write_json_flag, suffix=""):
+def _write_outputs(config, runs, summary, tag, out_dir, write_csv_flag, write_json_flag):
+    """Write ``<name><label>_trace.csv`` per labelled run and ``<tag>_summary.json``."""
     if out_dir is None:
         return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tag = f"{config.name}{suffix}"
     if write_csv_flag:
-        r = 0 if state is None or state.map is None else state.map.reduced_dim
-        m, p = _plant_channels(config)
-        write_trace_csv(out / f"{tag}_trace.csv", records, m, p, r)
-    if write_json_flag and summary_dict is not None:
+        m, p = config.plant[1].shape[1], config.plant[2].shape[0]
+        for label, (records, state) in runs.items():
+            r = 0 if state.map is None else state.map.reduced_dim
+            write_trace_csv(out / f"{config.name}{label}_trace.csv", records, m, p, r)
+    if write_json_flag:
         with open(out / f"{tag}_summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary_dict, fh, indent=2, sort_keys=True)
+            json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -476,30 +443,9 @@ def run_scenario(
     When ``out_dir`` is given, writes ``<name>_trace.csv`` and
     ``<name>_summary.json`` there (subject to the write flags).
     """
-    splant = _build_plant(config)
-    if config.control_enabled:
-        state = DeepoState.fresh(config.deepo, splant.plant.m, _engine_seed(config))
-        records = run_online(
-            state,
-            splant,
-            steps=config.trajectory_length,
-            activation_step=config.activation_step,
-            excitation_start=config.excitation_start,
-            update_start=config.update_start,
-        )
-    else:
-        state = None
-        records = _run_uncontrolled(config, splant)
-    summary = summarize_run(config, records, state)
-    _write_outputs(
-        config,
-        records,
-        state,
-        summary.to_dict(),
-        out_dir,
-        write_csv_flag,
-        write_json_flag,
-    )
+    run = _run(config, config.update_start)
+    summary = summarize_run(config, *run)
+    _write_outputs(config, {"": run}, summary, config.name, out_dir, write_csv_flag, write_json_flag)
     return summary
 
 
@@ -532,7 +478,9 @@ def run_adaptation_scenario(
     perturbation, and disturbances.  The adaptive run starts updating its
     gain at ``update_start`` (default: the perturbation step); the frozen
     run holds the initial gain throughout.  Requires a perturbation and at
-    least one disturbance at or after it.
+    least one disturbance at or after it.  When ``out_dir`` is given, writes
+    ``<name>_frozen_trace.csv``, ``<name>_adaptive_trace.csv`` and
+    ``<name>_adaptation_summary.json`` there (subject to the write flags).
     """
     if not config.control_enabled:
         raise ConfigInvalid("control_enabled: adaptation comparison needs the controller")
@@ -543,26 +491,15 @@ def run_adaptation_scenario(
         raise ConfigInvalid("disturbances: need one at or after the perturbation step")
     anchor = max(late)
     update_start = config.update_start if config.update_start is not None else config.perturbation.step
-
-    results = {}
-    for label, updates in (("frozen", False), ("adaptive", True)):
-        splant = _build_plant(config, perturbed=True)
-        state = DeepoState.fresh(config.deepo, splant.plant.m, _engine_seed(config))
-        records = run_online(
-            state,
-            splant,
-            steps=config.trajectory_length,
-            activation_step=config.activation_step,
-            excitation_start=config.excitation_start,
-            policy_updates=updates,
-            update_start=update_start,
-        )
-        results[label] = (records, state)
+    runs = {
+        "_frozen": _run(config, update_start, policy_updates=False),
+        "_adaptive": _run(config, update_start),
+    }
 
     stop = min(anchor + config.comparison_window, config.trajectory_length)
     post = {}
     change = {}
-    for label, (records, state) in results.items():
+    for label, (records, state) in runs.items():
         rms = _rms_per_channel(records, anchor, stop)
         post[label] = float(np.sqrt(np.mean(rms**2)))
         change[label] = float(np.linalg.norm(state.gain - state.initial_gain))
@@ -570,22 +507,12 @@ def run_adaptation_scenario(
     summary = AdaptationSummary(
         name=config.name,
         disturbance_step=anchor,
-        frozen_post_rms=post["frozen"],
-        adaptive_post_rms=post["adaptive"],
-        adaptive_gain_change=change["adaptive"],
-        frozen_gain_change=change["frozen"],
-        frozen=summarize_run(config, *results["frozen"]),
-        adaptive=summarize_run(config, *results["adaptive"]),
+        frozen_post_rms=post["_frozen"],
+        adaptive_post_rms=post["_adaptive"],
+        adaptive_gain_change=change["_adaptive"],
+        frozen_gain_change=change["_frozen"],
+        frozen=summarize_run(config, *runs["_frozen"]),
+        adaptive=summarize_run(config, *runs["_adaptive"]),
     )
-    if out_dir is not None:
-        for label, (records, state) in results.items():
-            _write_outputs(config, records, state, None, out_dir, write_csv_flag, False, suffix=f"_{label}")
-        if write_json_flag:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            with open(out / f"{config.name}_adaptation_summary.json", "w", encoding="utf-8") as fh:
-                json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+    _write_outputs(config, runs, summary, f"{config.name}_adaptation", out_dir, write_csv_flag, write_json_flag)
     return summary
-
-

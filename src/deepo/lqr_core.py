@@ -109,10 +109,10 @@ class DataCovariances:
     """Sample covariances of the data seen so far.
 
     ``phi`` is the covariance of the stacked sample (u; z) and ``z1_bar``
-    the cross-covariance of the shifted state z+ with (u; z); ``u_bar`` and
-    ``z0_bar`` are the top m and bottom r block rows of ``phi``.  ``count``
-    is the number of samples averaged.  Values are immutable; updates return
-    a new instance.
+    the cross-covariance of the shifted state z+ with (u; z); the paper's
+    U-bar and Z0-bar are the top m and bottom r block rows of ``phi``.
+    ``count`` is the number of samples averaged.  Values are immutable;
+    updates return a new instance.
     """
 
     phi: np.ndarray
@@ -128,14 +128,6 @@ class DataCovariances:
     @property
     def r(self) -> int:
         return len(self.z1_bar)
-
-    @property
-    def u_bar(self) -> np.ndarray:
-        return self.phi[: self.m]
-
-    @property
-    def z0_bar(self) -> np.ndarray:
-        return self.phi[self.m :]
 
 
 def cov_init(u_data, z_data, z_next) -> DataCovariances:

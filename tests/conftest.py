@@ -78,12 +78,12 @@ def parameterize(cov, k):
 
 def recover_gain(cov, v):
     """Gain encoded by a decision matrix, K = Ubar V."""
-    return cov.u_bar @ v
+    return cov.phi[: cov.m] @ v
 
 
 def projector(cov):
     """Orthogonal projector onto the nullspace of Zbar0, I - pinv(Zbar0) Zbar0."""
-    return np.eye(cov.m + cov.r) - np.linalg.pinv(cov.z0_bar) @ cov.z0_bar
+    return np.eye(cov.m + cov.r) - np.linalg.pinv(cov.phi[cov.m :]) @ cov.phi[cov.m :]
 
 
 def v_closed_loop(cov, v, weights):
@@ -106,7 +106,7 @@ def v_gradient(cov, v, weights):
     """Gradient in V, ``2 (Ubar' R Ubar + Zbar1' P Zbar1) V Sigma``."""
     q_k, sigma = v_closed_loop(cov, v, weights)
     p = solve_dlyap((cov.z1_bar @ v).T, q_k)
-    return 2.0 * (cov.u_bar.T @ weights.r @ cov.u_bar + cov.z1_bar.T @ p @ cov.z1_bar) @ v @ sigma
+    return 2.0 * (cov.phi[: cov.m].T @ weights.r @ cov.phi[: cov.m] + cov.z1_bar.T @ p @ cov.z1_bar) @ v @ sigma
 
 
 def oracle_update(cov, k, weights, eta0, steps):
@@ -120,7 +120,7 @@ def oracle_update(cov, k, weights, eta0, steps):
     """
     v = parameterize(cov, k)
     pi = projector(cov)
-    eta_base = eta0 / np.linalg.norm(cov.u_bar @ pi @ cov.u_bar.T, ord=2)
+    eta_base = eta0 / np.linalg.norm(cov.phi[: cov.m] @ pi @ cov.phi[: cov.m].T, ord=2)
     eta_used = grad_norm = None
     for _ in range(steps):
         pg = pi @ v_gradient(cov, v, weights)

@@ -141,7 +141,7 @@ def test_constraint_holds_every_step(rng):
         zn = a @ zc + b @ uc
         ingest_and_update(state, uc, zc, zn)
         v = state.cov.phi_inv @ np.vstack([state.gain, np.eye(state.cov.r)])
-        residual = np.linalg.norm(state.cov.z0_bar @ v - np.eye(state.cov.r))
+        residual = np.linalg.norm(state.cov.phi[state.cov.m :] @ v - np.eye(state.cov.r))
         assert residual <= 1e-6
         zc = zn
 

@@ -6,12 +6,14 @@ import json
 import numpy as np
 import pytest
 
+import deepo.harness
 import deepo.lqr_core
 from deepo.cli import main
-from deepo.engine import StepRecord
+from deepo.engine import DeepoState, StepRecord
 from deepo.errors import ConfigInvalid, DeepoError, IllConditioned
 from deepo.harness import (
     SCHEMA_VERSION,
+    _build_plant,
     bundled_scenarios,
     load_scenario,
     parse_scenario,
@@ -109,13 +111,16 @@ def test_parse_scenario_rejects_short_excitation_window():
         parse_scenario(scenario(excitation_start=50, activation_step=60))
 
 
+EXPLICIT_PLANT = {
+    "a": [[0.5, 0.1], [0.0, 0.4]],
+    "b": [[1.0, 0.0], [0.0, 1.0]],
+    "c": [[1.0, 0.0], [0.0, 1.0]],
+}
+
+
 def test_parse_scenario_explicit_plant_and_perturbation():
     raw = scenario(
-        plant={
-            "a": [[0.5, 0.1], [0.0, 0.4]],
-            "b": [[1.0, 0.0], [0.0, 1.0]],
-            "c": [[1.0, 0.0], [0.0, 1.0]],
-        },
+        plant=EXPLICIT_PLANT,
         switch_step=None,
         disturbances=[{"step": 5, "state_delta": [1.0, 0.0]}],
         perturbation={
@@ -127,10 +132,74 @@ def test_parse_scenario_explicit_plant_and_perturbation():
         },
     )
     config = parse_scenario(raw)
-    assert config.perturbation.mode == "explicit"
-    assert np.array(config.perturbation.a).shape == (2, 2)
+    assert config.perturbation.step == 70
+    np.testing.assert_array_equal(config.perturbation.a, [[0.4, 0.0], [0.0, 0.3]])
+    np.testing.assert_array_equal(config.perturbation.b, np.eye(2))
+    np.testing.assert_array_equal(config.perturbation.c, np.eye(2))
     with pytest.raises(ConfigInvalid, match="plant.a"):
         parse_scenario(scenario(plant={"a": "x", "b": [[1.0]], "c": [[1.0]]}))
+
+
+def test_parse_scenario_rejects_switch_step_on_explicit_plant():
+    # switch_step names the surrogate's own switch; an explicit plant has
+    # none, so the step would only move the pre-activation RMS window.
+    raw = scenario(plant=EXPLICIT_PLANT, disturbances=[{"step": 5, "state_delta": [1.0, 0.0]}])
+    with pytest.raises(ConfigInvalid, match="switch_step"):
+        parse_scenario(raw)
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"switch_step": 120}, "switch_step"),
+        (
+            {
+                "switches": [
+                    {
+                        "step": 130,
+                        "a": surrogate_oscillatory_dynamics().tolist(),
+                        "b": surrogate_io_matrices()[0].tolist(),
+                        "c": surrogate_io_matrices()[1].tolist(),
+                    }
+                ]
+            },
+            "switches[0].step",
+        ),
+        ({"perturbation": {"step": 120}}, "perturbation.step"),
+        ({"disturbances": [{"step": 500, "state_delta": [1.0, 0.0, 0.0, 0.0]}]}, "disturbances[0].step"),
+    ],
+    ids=["switch_step", "switches", "perturbation", "disturbances"],
+)
+def test_parse_scenario_rejects_events_past_the_horizon(overrides, field):
+    # trajectory_length is 120: an event at step 120 or later never happens.
+    with pytest.raises(ConfigInvalid, match=field.replace("[", r"\[") + ": must lie below trajectory_length"):
+        parse_scenario(scenario(**overrides))
+
+
+def test_adaptation_with_late_disturbance_past_the_horizon_is_a_config_error():
+    # The bundled scenario cut to 1500 steps: the disturbances at 1700 and
+    # 2100 fall outside the run, so no RMS window follows the anchor.
+    raw = json.loads(scenario_path("adaptation").read_text())
+    raw["trajectory_length"] = 1500
+    with pytest.raises(ConfigInvalid, match=r"disturbances\[2\].step"):
+        run_adaptation_scenario(parse_scenario(raw))
+
+
+def test_build_plant_schedules_every_switch_in_step_order():
+    drift = {"a": [[0.4, 0.0], [0.0, 0.3]], "b": [[1.0, 0.0], [0.0, 1.0]], "c": [[1.0, 0.0], [0.0, 1.0]]}
+    later = {"a": [[0.6, 0.0], [0.2, 0.5]], "b": [[1.0, 0.5], [0.0, 1.0]], "c": [[1.0, 0.0], [0.3, 1.0]]}
+    raw = scenario(
+        plant=EXPLICIT_PLANT,
+        switch_step=None,
+        disturbances=[{"step": 5, "state_delta": [1.0, 0.0]}],
+        switches=[{"step": 90, **later}],
+        perturbation={"step": 70, "mode": "explicit", **drift},
+    )
+    events = _build_plant(parse_scenario(raw)).schedule.events
+    assert [e.step for e in events] == [70, 90]
+    for event, given in zip(events, (drift, later)):
+        for key in ("a", "b", "c"):
+            np.testing.assert_array_equal(getattr(event, key), given[key])
 
 
 def test_bundled_scenarios_present():
@@ -199,7 +268,7 @@ def test_summary_times_decisions_apart_from_activation():
         StepRecord(t=t, mode="deepo" if t >= 60 else "excite", u=np.zeros(2), y=np.zeros(2), elapsed_us=us)
         for t, us in elapsed.items()
     ]
-    summary = summarize_run(config, records, None)
+    summary = summarize_run(config, records, DeepoState.fresh(config.deepo, 2))
     assert summary.activation_us == 40000.0
     assert summary.mean_step_us == 300.0
     assert summary.max_step_us == 600.0
@@ -299,6 +368,50 @@ def test_adaptation_requires_perturbation_and_late_disturbance():
     raw["disturbances"] = [{"step": 5, "state_delta": [1.0, 0.0, 0.0, 0.0]}]
     with pytest.raises(ConfigInvalid, match="disturbances"):
         run_adaptation_scenario(parse_scenario(raw))
+
+
+def test_run_scenario_applies_the_perturbation(tmp_path):
+    # The same run without the drift at step 500 matches it row for row up
+    # to the switch, then parts from it.
+    plain = copy.deepcopy(ADAPT)
+    plain.pop("perturbation")
+    rows = {}
+    for label, raw in (("drift", copy.deepcopy(ADAPT)), ("plain", plain)):
+        run_scenario(parse_scenario(raw), out_dir=tmp_path / label, write_json_flag=False)
+        rows[label] = (tmp_path / label / "adapt_small_trace.csv").read_text().splitlines()[1:]
+    assert rows["drift"][:500] == rows["plain"][:500]
+    assert all(a != b for a, b in zip(rows["drift"][501:], rows["plain"][501:]))
+
+
+@pytest.mark.parametrize(
+    "runner, raw, calls",
+    [
+        (run_scenario, scenario(), 1),
+        (run_adaptation_scenario, ADAPT, 2),
+        (run_scenario, scenario(control_enabled=False), 2),
+    ],
+    ids=["controlled", "adaptation", "uncontrolled"],
+)
+def test_runs_go_through_the_harness_run_online(monkeypatch, runner, raw, calls):
+    # The benchmark captures runs by patching deepo.harness.run_online; a
+    # run that bypassed the module global would escape its digest check.
+    seen = []
+    inner = deepo.harness.run_online
+
+    def counting(*args, **kwargs):
+        seen.append(args[2] if len(args) > 2 else kwargs["steps"])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(deepo.harness, "run_online", counting)
+    config = parse_scenario(copy.deepcopy(raw))
+    runner(config)
+    assert len(seen) == calls
+    assert sum(seen) == config.trajectory_length * (2 if runner is run_adaptation_scenario else 1)
+
+
+def test_cli_rejects_negative_seed(capsys):
+    assert main(["run", "converter", "--seed", "-1", "--no-csv", "--no-json"]) == 1
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_cli_scenarios_and_run(tmp_path, capsys):

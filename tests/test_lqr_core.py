@@ -66,8 +66,6 @@ def test_cov_init_matches_batch_definition(rng):
     t = u.shape[1]
     npt.assert_allclose(cov.phi, d0 @ d0.T / t, atol=1e-12)
     npt.assert_allclose(cov.z1_bar, z_next @ d0.T / t, atol=1e-12)
-    npt.assert_allclose(cov.u_bar, cov.phi[:1, :], atol=1e-14)
-    npt.assert_allclose(cov.z0_bar, cov.phi[1:, :], atol=1e-14)
     npt.assert_allclose(cov.phi_inv @ cov.phi, np.eye(3), atol=1e-9)
     assert cov.count == t
     assert cov.m == 1 and cov.r == 2
@@ -121,7 +119,7 @@ def test_parameterize_recover_roundtrip(batch, rng):
     k = rng.standard_normal((cov.m, cov.r))
     v = parameterize(cov, k)
     npt.assert_allclose(recover_gain(cov, v), k, atol=1e-9)
-    npt.assert_allclose(cov.z0_bar @ v, np.eye(cov.r), atol=1e-9)
+    npt.assert_allclose(cov.phi[cov.m :] @ v, np.eye(cov.r), atol=1e-9)
     model = Model.of(cov)
     npt.assert_allclose(cov.z1_bar @ v, model.a + model.b @ k, rtol=0, atol=1e-12 * np.linalg.norm(v))
 
@@ -240,14 +238,14 @@ def test_nullspace_projection_properties(batch, rng):
     pi = projector(cov)
     npt.assert_allclose(pi, pi.T, atol=1e-12)
     npt.assert_allclose(pi @ pi, pi, atol=1e-10)
-    npt.assert_allclose(cov.z0_bar @ pi, np.zeros((cov.r, cov.m + cov.r)), atol=1e-9)
+    npt.assert_allclose(cov.phi[cov.m :] @ pi, np.zeros((cov.r, cov.m + cov.r)), atol=1e-9)
     assert np.trace(pi) == pytest.approx(cov.m, abs=1e-8)
     weights = identity_weights(cov.r, cov.m)
     model, nullspace = Model.of(cov), Nullspace.of(cov)
     k = initial_policy(cov, weights) + 0.05 * rng.standard_normal((cov.m, cov.r))
     pg = pi @ v_gradient(cov, parameterize(cov, k), weights)
     step = preconditioned_gradient(model, nullspace, k, weights)
-    assert np.linalg.norm(cov.u_bar @ pg - step) <= 1e-10 * np.linalg.norm(step)
+    assert np.linalg.norm(cov.phi[: cov.m] @ pg - step) <= 1e-10 * np.linalg.norm(step)
     assert np.sqrt(np.vdot(step, nullspace.gram @ step)) == pytest.approx(np.linalg.norm(pg), rel=1e-10)
 
 
@@ -308,7 +306,7 @@ def test_projector_and_stepsize_match_pseudoinverse_formulas(batch, recursive):
         cov = cov_init(u[:, :60], z[:, :60], z_next[:, :60])
         for t in range(60, u.shape[1]):
             cov = cov_update(cov, u[:, t], z[:, t], z_next[:, t])
-    reference = cov.u_bar @ projector(cov) @ cov.u_bar.T
+    reference = cov.phi[: cov.m] @ projector(cov) @ cov.phi[: cov.m].T
     nullspace = Nullspace.of(cov)
     assert np.linalg.norm(nullspace.gram_inv - reference) <= 1e-10 * np.linalg.norm(reference)
     eta, capped = nullspace.stepsize(1e-3)
@@ -330,7 +328,7 @@ def test_projected_step_preserves_constraint(batch, rng):
     for _ in range(5):
         v = v - eta * (pi @ v_gradient(cov, v, weights))
         k = k - eta * preconditioned_gradient(model, nullspace, k, weights)
-        npt.assert_allclose(cov.z0_bar @ v, np.eye(cov.r), atol=1e-8)
+        npt.assert_allclose(cov.phi[cov.m :] @ v, np.eye(cov.r), atol=1e-8)
         assert np.linalg.norm(recover_gain(cov, v) - k) <= 1e-9 * np.linalg.norm(k)
 
 
@@ -427,4 +425,4 @@ def test_decision_matrix_off_recursive_inverse_tracks_full_solve(rng):
         npt.assert_allclose(np.hstack([model.b, model.a]), ba, rtol=0, atol=1e-9)
     direct = parameterize(cov, k)
     npt.assert_allclose(v, direct, atol=1e-9)
-    npt.assert_allclose(cov.z0_bar @ v, np.eye(3), atol=1e-9)
+    npt.assert_allclose(cov.phi[cov.m :] @ v, np.eye(3), atol=1e-9)

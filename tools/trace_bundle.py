@@ -105,7 +105,7 @@ def direct_run(out: Path, r=20, m=2, decisions=200, seed=0):
 
 def checkpoint(out: Path, steps=700):
     config = load_scenario("converter")
-    model, schedule = make_surrogate_converter(rng_seed=config.rng_seed, switch_step=config.switch_step)
+    model, schedule = make_surrogate_converter(rng_seed=config.rng_seed, switch_step=config.switches[0].step)
     plant = SwitchingPlant(model, schedule, kicks=[(d.step, d.state_delta) for d in config.disturbances])
     state = DeepoState.fresh(config.deepo, model.m, rng_seed=config.rng_seed)
     run_online(state, plant, steps=steps, activation_step=config.activation_step,
