@@ -363,7 +363,7 @@ def run_criterion(number: int, seed: int = 0) -> CriterionResult:
     raise ValueError(f"no criterion numbered {number}")
 
 
-def run_acceptance(seed: int = 0, report_path=None, only=None, quiet=False) -> list[CriterionResult]:
+def run_acceptance(seed: int = 0, report_path=None, only=None) -> list[CriterionResult]:
     """Run the battery, print one line per criterion, optionally write JSON."""
     results = []
     for number, _, _ in CRITERIA:
@@ -371,12 +371,10 @@ def run_acceptance(seed: int = 0, report_path=None, only=None, quiet=False) -> l
             continue
         result = run_criterion(number, seed)
         results.append(result)
-        if not quiet:
-            tag = "PASS" if result.passed else "FAIL"
-            print(f"[{tag}] {result.number:2d} {result.name}: {result.detail} ({result.elapsed_s:.2f}s)")
-    if not quiet:
-        n_pass = sum(1 for res in results if res.passed)
-        print(f"{n_pass}/{len(results)} criteria passed")
+        tag = "PASS" if result.passed else "FAIL"
+        print(f"[{tag}] {result.number:2d} {result.name}: {result.detail} ({result.elapsed_s:.2f}s)")
+    n_pass = sum(1 for res in results if res.passed)
+    print(f"{n_pass}/{len(results)} criteria passed")
     if report_path is not None:
         payload = {
             "seed": seed,

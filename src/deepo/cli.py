@@ -15,7 +15,7 @@ import dataclasses
 import json
 import sys
 
-from .acceptance import run_acceptance
+from .acceptance import CRITERIA, run_acceptance
 from .errors import ConfigInvalid, DeepoError
 from .harness import (
     bundled_scenarios,
@@ -96,6 +96,10 @@ def _cmd_accept(args) -> int:
             only = sorted({int(tok) for tok in args.only.split(",")})
         except ValueError:
             print(f"error: --only expects comma-separated integers, got {args.only!r}", file=sys.stderr)
+            return 2
+        unknown = set(only) - {number for number, _, _ in CRITERIA}
+        if unknown:
+            print(f"error: --only names no criterion numbered {sorted(unknown)}", file=sys.stderr)
             return 2
     results = run_acceptance(seed=args.seed, report_path=args.report, only=only)
     return 0 if all(res.passed for res in results) else 1

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigInvalid, InsufficientHistory, NonFinite, RankDeficient, Unstable
+from .errors import ConfigInvalid, DimensionMismatch, InsufficientHistory, NonFinite, RankDeficient, Unstable
 from .lqr_core import (
     DataCovariances,
     LqrWeights,
@@ -150,92 +150,112 @@ class DeepoState:
         self.warnings.append(message)
 
     def to_json(self) -> str:
-        """Snapshot of the persistent fields (records excluded)."""
+        """Snapshot of the state: every field but the history, rng and records
+        as written by :func:`_plain`, then the history's ``inputs`` and
+        ``outputs`` and the ``rng_state``."""
         if not self.initialized:
             raise ValueError("cannot serialize an uninitialized state")
-        payload = {
-            "config": asdict(self.config),
-            "m": self.m,
-            "t": self.t,
-            "map": None if self.map is None else json.loads(self.map.to_json()),
-            "cov": {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(self.cov).items()},
-            "weights": {"q": self.weights.q.tolist(), "r": self.weights.r.tolist()},
-            "gain": self.gain.tolist(),
-            "initial_gain": None if self.initial_gain is None else self.initial_gain.tolist(),
-            "inputs": self.history.u.tolist(),
-            "outputs": self.history.y.tolist(),
-            "warnings": list(self.warnings),
-            "rng_state": self.rng.bit_generator.state,
-        }
+        skip = {"history", "rng", "records"}
+        payload = {f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.name not in skip}
+        payload.update(inputs=self.history.u.tolist(), outputs=self.history.y.tolist())
+        payload["rng_state"] = self.rng.bit_generator.state
         return json.dumps(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "DeepoState":
         """State from a :meth:`to_json` snapshot.
 
-        Raises ConfigInvalid, naming the missing key or the array whose
-        shape does not fit the others where there is one, when the text is
-        not such a snapshot.  Top-level keys it does not read, such as the
-        ``v_prime`` and ``v_synced_count`` of older snapshots, are ignored.
+        Raises ConfigInvalid naming the entry where there is one: a missing
+        key; an array that is not finite or whose shape does not fit m, the
+        lag, r = ``len(cov.z1_bar)`` and p; ``m`` or ``cov.count`` that is
+        not an integer >= 1, or ``t`` not one >= 0; a ``map`` that is null
+        beside a history, or present without one; and, with a map, ``t``
+        other than the history's length or ``inputs`` not m wide.  Keys it
+        does not read, such as ``map.reduced_dim`` and ``map.input_rows``
+        or the ``v_prime`` and ``v_synced_count`` of older snapshots, are
+        ignored.
         """
         try:
             payload = json.loads(text)
             config = DeepoConfig.from_dict(payload["config"], "config")
-            cov = {k: np.array(v, dtype=float) if isinstance(v, list) else v for k, v in payload["cov"].items()}
+            r = len(payload["cov"]["z1_bar"])
+            m = _integer(payload, "m", 1)
+            t = _integer(payload, "t", 0)
+
+            def array(name, *shape):
+                value = np.array(_entry(payload, name), dtype=float)
+                if value.shape != shape:
+                    raise ConfigInvalid(f"checkpoint: {name} has shape {value.shape}, expected {shape}")
+                if not np.all(np.isfinite(value)):
+                    raise ConfigInvalid(f"checkpoint: {name} has non-finite entries")
+                return value
+
+            cov = DataCovariances(
+                phi=array("cov.phi", m + r, m + r),
+                phi_inv=array("cov.phi_inv", m + r, m + r),
+                z1_bar=array("cov.z1_bar", r, m + r),
+                count=_integer(payload, "cov.count", 1),
+                ill_conditioned=bool(payload["cov"]["ill_conditioned"]),
+            )
+            history = IoHistory(payload["inputs"], payload["outputs"])
+            # States from offline_init_direct keep neither a map nor a history.
+            rmap = None
+            if (payload["map"] is None) != (len(history) == 0):
+                raise ConfigInvalid(f"checkpoint: map must be null exactly when inputs ({len(history)} rows) is empty")
+            if payload["map"] is not None:
+                if t != len(history):
+                    raise ConfigInvalid(f"checkpoint: t is {t}, expected {len(history)} (the history's length)")
+                if history.m != m:
+                    raise ConfigInvalid(f"checkpoint: inputs has shape {history.u.shape}, expected {(len(history), m)}")
+                window = (m + history.p) * config.lag
+                rmap = ReductionMap(
+                    t_matrix=array("map.t_matrix", r, window),
+                    gap_warning=bool(payload["map"]["gap_warning"]),
+                    singular_values=array("map.singular_values", window),
+                )
             state = cls(
                 config=config,
-                m=int(payload["m"]),
-                history=IoHistory(payload["inputs"], payload["outputs"]),
-                map=None if payload["map"] is None else ReductionMap.from_json(json.dumps(payload["map"])),
-                cov=DataCovariances(**cov),
-                weights=LqrWeights(
-                    q=np.array(payload["weights"]["q"], dtype=float),
-                    r=np.array(payload["weights"]["r"], dtype=float),
-                ),
-                gain=np.array(payload["gain"], dtype=float),
-                initial_gain=(
-                    None
-                    if payload.get("initial_gain") is None
-                    else np.array(payload["initial_gain"], dtype=float)
-                ),
-                t=int(payload["t"]),
+                m=m,
+                history=history,
+                map=rmap,
+                cov=cov,
+                weights=LqrWeights(q=array("weights.q", r, r), r=array("weights.r", m, m)),
+                gain=array("gain", m, r),
+                initial_gain=None if payload.get("initial_gain") is None else array("initial_gain", m, r),
+                t=t,
                 warnings=list(payload["warnings"]),
             )
             state.rng = np.random.default_rng()
             state.rng.bit_generator.state = payload["rng_state"]
         except KeyError as exc:
             raise ConfigInvalid(f"checkpoint: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, NonFinite, DimensionMismatch) as exc:
             raise ConfigInvalid(f"checkpoint: malformed ({exc})") from None
-        state._check_shapes()
         return state
 
-    def _check_shapes(self):
-        """Raise ConfigInvalid naming the first loaded array that does not fit
-        m, r = ``len(cov.z1_bar)`` and, when there is a map, the history and lag."""
-        m, r = self.m, len(self.cov.z1_bar)
-        expected = [
-            ("cov.phi", self.cov.phi, (m + r, m + r)),
-            ("cov.phi_inv", self.cov.phi_inv, (m + r, m + r)),
-            ("cov.z1_bar", self.cov.z1_bar, (r, m + r)),
-            ("weights.q", self.weights.q, (r, r)),
-            ("weights.r", self.weights.r, (m, m)),
-            ("gain", self.gain, (m, r)),
-            ("initial_gain", self.initial_gain, (m, r)),
-        ]
-        if self.map is not None:
-            # States from offline_init_direct keep neither a map nor a history;
-            # IoHistory has already checked that outputs has as many rows as inputs.
-            lag = self.config.lag
-            if self.map.input_rows != m * lag:
-                raise ConfigInvalid(f"checkpoint: map.input_rows is {self.map.input_rows}, expected {m * lag}")
-            expected += [
-                ("inputs", self.history.u, (len(self.history), m)),
-                ("map.t_matrix", self.map.t_matrix, (r, (m + self.history.p) * lag)),
-            ]
-        for name, value, shape in expected:
-            if value is not None and value.shape != shape:
-                raise ConfigInvalid(f"checkpoint: {name} has shape {value.shape}, expected {shape}")
+
+def _plain(value):
+    """``value`` as JSON data: dataclasses field by field, arrays as lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def _entry(payload: dict, name: str):
+    """The checkpoint entry at the dotted ``name``."""
+    for key in name.split("."):
+        payload = payload[key]
+    return payload
+
+
+def _integer(payload: dict, name: str, low: int) -> int:
+    """The checkpoint entry at ``name``, an int (not a bool) of at least ``low``."""
+    value = _entry(payload, name)
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ConfigInvalid(f"checkpoint: {name} is {value!r}, expected an integer >= {low}")
+    return value
 
 
 def _install_policy(state: DeepoState, cov: DataCovariances, weights: LqrWeights):
@@ -438,7 +458,6 @@ def run_online(
     activation_step: int,
     *,
     excitation_start: int = 0,
-    policy_updates: bool = True,
     update_start: int | None = None,
 ) -> list[StepRecord]:
     """Drive the plant for ``steps`` samples and return their records.
@@ -446,9 +465,9 @@ def run_online(
     Before ``excitation_start`` the input is zero; from there to
     ``activation_step`` it is uniform white-noise excitation.  At the
     activation step the engine initializes itself from the excitation
-    window, then runs closed loop.  ``policy_updates=False`` freezes the
-    gain at its initial value (data is still ingested); ``update_start``
-    delays gain updates to that step.  The plant is anything exposing
+    window, then runs closed loop.  Before ``update_start`` the gain is held
+    (data is still ingested), so an ``update_start`` the run never reaches
+    freezes it at its initial value.  The plant is anything exposing
     ``step(u) -> y``.  A non-finite signal aborts with the records so far
     attached to the exception.
     """
@@ -476,8 +495,7 @@ def run_online(
             raise NonFinite(f"step {t}: {exc}", records=state.records) from exc
         if state.initialized:
             z_next = reduce_state(state.map, stack_window(state.history, t + 1, cfg.lag))
-            update = policy_updates and (update_start is None or t >= update_start)
-            record = ingest_and_update(state, u, z_t, z_next, update=update)
+            record = ingest_and_update(state, u, z_t, z_next, update=update_start is None or t >= update_start)
             record.y = y
             z_t = z_next
         else:

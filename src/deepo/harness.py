@@ -237,11 +237,12 @@ def parse_scenario(raw: dict, name: str = "scenario") -> ScenarioConfig:
 def load_scenario(path) -> ScenarioConfig:
     """Load and validate a scenario JSON file (or bundled scenario name)."""
     path = scenario_path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"{path}: invalid JSON ({exc})") from None
+    except (OSError, ValueError) as exc:
+        # ValueError covers both invalid JSON and text that is not UTF-8.
+        raise ConfigInvalid(f"{path}: cannot read a JSON scenario ({exc})") from None
     return parse_scenario(raw, name=Path(path).stem)
 
 
@@ -278,7 +279,7 @@ def _engine_seed(config: ScenarioConfig) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(config.rng_seed).spawn(2)[1])
 
 
-def _run(config: ScenarioConfig, update_start: int | None, policy_updates: bool = True):
+def _run(config: ScenarioConfig, update_start: int | None):
     """Run the timeline once from the scenario's seeds; returns (records, state)."""
     splant = _build_plant(config)
     state = DeepoState.fresh(config.deepo, splant.plant.m, _engine_seed(config))
@@ -290,7 +291,6 @@ def _run(config: ScenarioConfig, update_start: int | None, policy_updates: bool 
             length,
             config.activation_step,
             excitation_start=config.excitation_start,
-            policy_updates=policy_updates,
             update_start=update_start,
         )
     else:
@@ -492,7 +492,7 @@ def run_adaptation_scenario(
     anchor = max(late)
     update_start = config.update_start if config.update_start is not None else config.perturbation.step
     runs = {
-        "_frozen": _run(config, update_start, policy_updates=False),
+        "_frozen": _run(config, config.trajectory_length),
         "_adaptive": _run(config, update_start),
     }
 

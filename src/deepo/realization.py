@@ -8,7 +8,6 @@ whose dimension sits at the first clear singular-value gap.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,40 +134,25 @@ class ReductionMap:
     """Linear map z = T xi from window vectors to reduced coordinates.
 
     Attributes:
-        t_matrix: the map T, shape (reduced_dim, (m + p) * lag).
-        reduced_dim: number of reduced coordinates r.
-        input_rows: number of input rows m * lag in the window layout.
+        t_matrix: the map T, shape (r, (m + p) * lag).
         gap_warning: True when the gap rule found no clear singular-value
             gap and fell back to the largest ratio.
-        singular_values: spectrum of the window data matrix.
+        singular_values: spectrum of the window data matrix, (m + p) * lag
+            values.
+
+    The reduced dimension r is read off ``t_matrix`` (:attr:`reduced_dim`).
+    Checkpoints store the map as part of the engine state
+    (:meth:`deepo.engine.DeepoState.to_json`).
     """
 
     t_matrix: np.ndarray
-    reduced_dim: int
-    input_rows: int
     gap_warning: bool
     singular_values: np.ndarray
 
-    def to_json(self) -> str:
-        payload = {
-            "reduced_dim": self.reduced_dim,
-            "input_rows": self.input_rows,
-            "gap_warning": self.gap_warning,
-            "t_matrix": self.t_matrix.tolist(),
-            "singular_values": self.singular_values.tolist(),
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReductionMap":
-        payload = json.loads(text)
-        return cls(
-            t_matrix=np.array(payload["t_matrix"], dtype=float),
-            reduced_dim=int(payload["reduced_dim"]),
-            input_rows=int(payload["input_rows"]),
-            gap_warning=bool(payload["gap_warning"]),
-            singular_values=np.array(payload["singular_values"], dtype=float),
-        )
+    @property
+    def reduced_dim(self) -> int:
+        """Number of reduced coordinates r."""
+        return len(self.t_matrix)
 
 
 def _check_xi_matrix(xi_mat, input_rows):
@@ -234,13 +218,7 @@ def reduce_svd(xi_mat, input_rows: int, r_override: int | None = None) -> Reduct
             f"singular value {r} of the window matrix is numerically zero"
         )
     t_matrix = (u[:, :r] / s[:r]).T
-    return ReductionMap(
-        t_matrix=t_matrix,
-        reduced_dim=r,
-        input_rows=input_rows,
-        gap_warning=warning,
-        singular_values=s.copy(),
-    )
+    return ReductionMap(t_matrix=t_matrix, gap_warning=warning, singular_values=s.copy())
 
 
 def reduce_state(reduction: ReductionMap, xi) -> np.ndarray:

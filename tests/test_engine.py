@@ -348,7 +348,7 @@ def test_update_matches_the_projected_decision_matrix_step(rng, steps, eta0):
     assert (halved > 0) == (eta0 == 0.1)
 
 
-def surrogate_run(seed, steps=700, policy_updates=True, update_start=None):
+def surrogate_run(seed, steps=700, update_start=None):
     plant, schedule = make_surrogate_converter(rng_seed=seed, switch_step=100)
     splant = SwitchingPlant(plant, schedule, kicks=[(100, [1.0, 0.0, 0.0, 0.0])])
     cfg = DeepoConfig(lag=2, eta0=1e-4, probe_std=0.01, r_override=8)
@@ -359,7 +359,6 @@ def surrogate_run(seed, steps=700, policy_updates=True, update_start=None):
         steps=steps,
         activation_step=500,
         excitation_start=200,
-        policy_updates=policy_updates,
         update_start=update_start,
     )
     return state, records
@@ -420,13 +419,14 @@ def test_run_online_accepts_plain_callable(rng):
 
 
 def test_frozen_gain_never_moves():
-    state, _ = surrogate_run(seed=6, policy_updates=False)
+    # An update start the run never reaches holds the gain throughout.
+    state, _ = surrogate_run(seed=6, update_start=700)
     npt.assert_array_equal(state.gain, state.initial_gain)
 
 
 def test_update_start_delays_adaptation():
     state, _ = surrogate_run(seed=6, update_start=600)
-    frozen_part, _ = surrogate_run(seed=6, policy_updates=False, steps=600)
+    frozen_part, _ = surrogate_run(seed=6, steps=600, update_start=600)
     # Identical to the frozen run up to the update start, then it moves.
     npt.assert_allclose(state.records[599].u, frozen_part.records[599].u)
     assert np.linalg.norm(state.gain - state.initial_gain) > 0
@@ -461,7 +461,10 @@ def test_state_json_roundtrip():
     clone = DeepoState.from_json(state.to_json())
     npt.assert_allclose(clone.gain, state.gain)
     npt.assert_allclose(clone.cov.phi, state.cov.phi)
-    npt.assert_allclose(clone.map.t_matrix, state.map.t_matrix)
+    npt.assert_array_equal(clone.map.t_matrix, state.map.t_matrix)
+    npt.assert_array_equal(clone.map.singular_values, state.map.singular_values)
+    assert clone.map.gap_warning == state.map.gap_warning
+    assert clone.map.reduced_dim == state.map.reduced_dim == 8
     npt.assert_array_equal(clone.history.u, state.history.u)
     npt.assert_array_equal(clone.history.y, state.history.y)
     assert clone.t == state.t
@@ -482,6 +485,18 @@ def test_checkpoint_with_stored_decision_matrix_still_loads():
     assert clone.to_json() == state.to_json()
 
 
+def test_checkpoint_with_stored_map_dimensions_still_loads():
+    # Checkpoints written before the reduced dimension was read off t_matrix
+    # store it in the map, beside the number of input rows; both are ignored,
+    # even where they disagree with the arrays.
+    state, _ = surrogate_run(seed=8, steps=520)
+    payload = json.loads(state.to_json())
+    payload["map"].update(reduced_dim=3, input_rows=4)
+    clone = DeepoState.from_json(json.dumps(payload))
+    assert clone.map.reduced_dim == 8
+    assert clone.to_json() == state.to_json()
+
+
 def test_checkpoint_with_unknown_config_keys_is_config_invalid():
     # A checkpoint carrying config keys this version does not know (such as
     # one written by an older version) is rejected as a typed error.
@@ -496,7 +511,11 @@ def _drop_last_column(rows):
     return [row[:-1] for row in rows]
 
 
-def _edit(path, change):
+def _first_nan(rows):
+    return [[float("nan")] + rows[0][1:]] + rows[1:]
+
+
+def _edit(path, change, label=""):
     """Checkpoint edit replacing the entry at a dotted ``path`` by ``change(entry)``."""
 
     def edit(payload):
@@ -505,7 +524,7 @@ def _edit(path, change):
             payload = payload[key]
         payload[leaf] = change(payload[leaf])
 
-    return pytest.param(edit, re.escape(f"checkpoint: {path} "), id=path)
+    return pytest.param(edit, re.escape(f"checkpoint: {path} "), id=path + label)
 
 
 @pytest.fixture(scope="module")
@@ -531,7 +550,31 @@ def checkpoint_payload():
         _edit("weights.r", lambda r: np.eye(len(r) + 1).tolist()),
         _edit("inputs", lambda rows: [row + [0.0] for row in rows]),
         _edit("map.t_matrix", _drop_last_column),
-        _edit("map.input_rows", lambda rows: rows + 1),
+        _edit("map.singular_values", lambda s: s[:-1]),
+        # Non-finite arrays: each loaded before, and then failed at the first
+        # decision or control (cost inf, NonFinite, NoConvergence).
+        *(_edit(name, _first_nan, "-nan") for name in ("cov.phi", "cov.phi_inv", "cov.z1_bar", "gain")),
+        *(_edit(name, _first_nan, "-nan") for name in ("map.t_matrix", "weights.q")),
+        # Counts that are not integers in range; the update divides by count.
+        _edit("cov.count", lambda _: 0, "-zero"),
+        _edit("cov.count", lambda _: -5, "-negative"),
+        _edit("cov.count", lambda _: "x", "-string"),
+        _edit("cov.count", lambda _: True, "-bool"),
+        _edit("m", lambda _: 2.0, "-float"),
+        _edit("t", lambda _: -3, "-negative"),
+        _edit("t", lambda t: t + 1, "-off-history"),
+        # A windowed history needs its map to form the reduced state.
+        _edit("map", lambda _: None, "-null"),
+        pytest.param(
+            lambda payload: payload.update(inputs=_first_nan(payload["inputs"])),
+            re.escape("checkpoint: malformed (history entries must be finite)"),
+            id="inputs-nan",
+        ),
+        pytest.param(
+            lambda payload: payload["inputs"][-1].pop(),
+            re.escape("checkpoint: malformed (inconsistent channel counts in history)"),
+            id="inputs-ragged",
+        ),
     ],
 )
 def test_malformed_checkpoint_is_config_invalid(text, key, checkpoint_payload):
@@ -556,6 +599,10 @@ def test_direct_state_checkpoint_has_no_map_or_history_to_check(rng):
     payload = json.loads(state.to_json())
     payload["gain"] = np.zeros((2, 2)).tolist()
     with pytest.raises(ConfigInvalid, match=re.escape("checkpoint: gain has shape (2, 2), expected (2, 3)")):
+        DeepoState.from_json(json.dumps(payload))
+    payload = json.loads(state.to_json())
+    payload["map"] = {"t_matrix": [], "gap_warning": False, "singular_values": []}
+    with pytest.raises(ConfigInvalid, match=re.escape("checkpoint: map must be null exactly when inputs (0 rows)")):
         DeepoState.from_json(json.dumps(payload))
 
 

@@ -447,6 +447,26 @@ def test_cli_reports_ill_conditioned_solve(tmp_path, capsys, monkeypatch):
         assert captured.err.startswith("error: ") and "Lyapunov residual" in captured.err
 
 
+@pytest.mark.parametrize("contents", [None, b"\xff\xfe{}"], ids=["directory", "not-utf8"])
+def test_unreadable_scenario_is_config_invalid(tmp_path, capsys, contents):
+    path = tmp_path / "scenario.json"
+    if contents is None:
+        path.mkdir()
+    else:
+        path.write_bytes(contents)
+    with pytest.raises(ConfigInvalid, match="cannot read"):
+        load_scenario(path)
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("only", ["99", "7,99"])
+def test_cli_accept_rejects_unknown_criterion(capsys, only):
+    assert main(["accept", "--only", only]) == 2
+    captured = capsys.readouterr()
+    assert "99" in captured.err and not captured.out
+
+
 def test_cli_accept_single_criterion(capsys):
     assert main(["accept", "--only", "7"]) == 0
     out = capsys.readouterr().out

@@ -9,7 +9,7 @@ import pytest
 
 import deepo
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -18,12 +18,18 @@ def test_every_exported_name_resolves():
     assert len(set(deepo.__all__)) == len(deepo.__all__)
 
 
-@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(ROOT.glob("perfbench/*.py")) + sorted(ROOT.glob("tools/*.py")),
+    ids=lambda path: path.name if path.parent.name == "perfbench" else f"{path.parent.name}/{path.name}",
+)
 def test_benchmark_imports_resolve(path):
     # The benchmark imports deepo names directly, some inside functions, and
     # reads or patches attributes of deepo modules (harness.run_online); a
     # renamed or deleted name would fail every benchmark run, or, when
-    # patched, silently stop capturing what it patches.
+    # patched, silently stop capturing what it patches.  The tools that
+    # write and compare trace bundles import deepo names the same way, and
+    # no test runs them.
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imports = [
         (node.module, alias.name, alias.asname or alias.name)

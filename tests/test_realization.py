@@ -14,7 +14,6 @@ from deepo.errors import (
 from deepo.numerics import numerical_rank
 from deepo.realization import (
     IoHistory,
-    ReductionMap,
     build_xi_matrix,
     reduce_state,
     reduce_svd,
@@ -189,13 +188,3 @@ def test_reduce_state_and_dimension_guard(rng):
     with pytest.raises(DimensionMismatch):
         reduce_state(rmap, np.ones(5))
 
-
-def test_reduction_map_json_roundtrip(rng):
-    xi = rng.standard_normal((4, 30))
-    rmap = reduce_svd(xi, input_rows=1, r_override=3)
-    clone = ReductionMap.from_json(rmap.to_json())
-    npt.assert_allclose(clone.t_matrix, rmap.t_matrix)
-    npt.assert_allclose(clone.singular_values, rmap.singular_values)
-    assert clone.reduced_dim == rmap.reduced_dim
-    assert clone.input_rows == rmap.input_rows
-    assert clone.gap_warning == rmap.gap_warning
